@@ -49,19 +49,6 @@ def expected_iterations(p: float, n_sub: int, m: int) -> int:
     return math.ceil(2.0 * math.log(ratio) / (p * p))
 
 
-@dataclass(frozen=True)
-class SampleParams:
-    """Sampling-loop parameters: edge bound, degree bound, rate, and rounds."""
-
-    m: int
-    d: float
-    ell: int
-
-    @property
-    def p(self) -> float:
-        return sample_rate(self.m, self.d)
-
-
 def key_subroutine(
     oracle: CcOracle,
     vs: list[int],

@@ -308,9 +308,3 @@ def from_edge_list_text(text: str) -> Graph:
     if len(edges) != m:
         raise ValueError(f"header promised {m} edges, found {len(edges)}")
     return Graph(n, edges)
-
-
-def forest_density_identity_holds(g: Graph, s: Iterable[int]) -> bool:
-    """Check ``density(s) == |s| - cc_count(s)``, which characterizes forests."""
-    members = list(s)
-    return density(g, members) == len(set(members)) - cc_count(g, members)

@@ -14,11 +14,28 @@ and enforces the adaptivity contract. Two modes exist:
 A query budget, when set, is a recoverable signal: the violating query raises
 :class:`QueryBudgetExceeded` before being answered, and subroutines with
 halting rules catch it and truncate.
+
+Two predicates are oracle primitives with a fixed price, however they are
+answered:
+
+* :meth:`CcOracle.probe` (and its batched form :meth:`CcOracle.submit_or_probe`)
+  -- "does ``u`` have a neighbor in ``s``" -- costs the two queries
+  ``cc(s + {u})`` and ``cc(s)``; an empty ``s`` is free.
+* :meth:`CcOracle.cross` -- "does an edge join ``s`` and ``u``" -- costs the
+  one to four queries of the overlap formula it documents.
+
+Charging is atomic: a predicate either charges all of its queries or raises
+:class:`QueryBudgetExceeded` having charged none. Without a trace the answer
+is read from the hidden graph's adjacency, which provably equals the
+component-count answer. With ``record_trace=True`` the component counts are
+computed and recorded, in the same order and with the same round indices as
+the individual queries the formula asks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import functools
+from typing import Iterable
 
 import numpy as np
 
@@ -57,10 +74,11 @@ class QueryLedger:
             return self.total_queries
         return len(self.batch_sizes)
 
-    def _record(self, round_index: int, members: Sequence[int], answer: int) -> None:
-        self.total_queries += 1
+    def _record(self, members: Iterable[int], answer: int) -> None:
+        """Count one query; a query's round index is the round count before it."""
         if self.trace is not None:
-            self.trace.append((round_index, tuple(sorted(members)), int(answer)))
+            self.trace.append((self.num_rounds, tuple(sorted(members)), int(answer)))
+        self.total_queries += 1
 
     def dump_trace(self, path: str, verbose: bool = False) -> None:
         """Write one line per query: ``round_index set_size answer``.
@@ -168,10 +186,6 @@ class _CcEvaluator:
                 self._nbr_rows.pop(next(iter(self._nbr_rows)))
         return row
 
-    def hits_neighbor(self, u: int, members: Iterable[int]) -> bool:
-        nbrs = self.adj[u]
-        return any(v in nbrs for v in members)
-
     def hits_neighbor_rows(self, u: int, rows: np.ndarray) -> np.ndarray:
         """Per-row test of whether the row's vertices touch ``N(u)``.
 
@@ -227,9 +241,18 @@ class CcOracle:
 
     def _clean(self, s: Iterable[int]) -> list[int]:
         members = list(dict.fromkeys(s))
-        if members and (min(members) < 0 or max(members) >= self._graph.n):
-            raise ValueError(f"query set out of range for n={self._graph.n}")
+        self._check_range(members)
         return members
+
+    @functools.cached_property
+    def _vertices(self) -> frozenset[int]:
+        # Built on first use, keeping construction cheap. A superset test
+        # checks a set in one pass, where min() and max() take two.
+        return frozenset(range(self._graph.n))
+
+    def _check_range(self, members: Iterable[int]) -> None:
+        if not self._vertices.issuperset(members):
+            raise ValueError(f"query set out of range for n={self._graph.n}")
 
     def _charge(self, k: int) -> None:
         if self.budget is not None and self.ledger.total_queries + k > self.budget:
@@ -237,19 +260,112 @@ class CcOracle:
                 f"budget {self.budget} would be exceeded ({self.ledger.total_queries} used)"
             )
 
-    # -- adaptive mode ----------------------------------------------------
-
-    def query(self, s: Iterable[int]) -> int:
-        """Answer one component-count query immediately (adaptive mode only)."""
+    def _require_adaptive(self) -> None:
         if self.mode != "adaptive":
             raise BatchContractError(
                 "batched oracle releases answers only at close_batch; use submit()"
             )
+
+    # -- adaptive mode ----------------------------------------------------
+
+    def query(self, s: Iterable[int]) -> int:
+        """Answer one component-count query immediately (adaptive mode only)."""
+        self._require_adaptive()
         members = self._clean(s)
         self._charge(1)
         answer = self._eval.cc(members)
-        self.ledger._record(self.ledger.total_queries, members, answer)
+        self.ledger._record(members, answer)
         return answer
+
+    def probe(self, u: int, s: Iterable[int]) -> bool:
+        """Whether ``u`` has a neighbor in ``s``; two queries (adaptive mode only).
+
+        Decided as ``cc(s + {u}) - cc(s) != 1``: adding ``u`` either creates
+        its own component (difference 1, no neighbor) or merges k >= 1
+        existing components (difference 1 - k <= 0). An empty ``s`` is False
+        for free; ``u`` may not belong to ``s``.
+        """
+        self._require_adaptive()
+        return self._probe(u, s)
+
+    def cross(self, s: Iterable[int], u: Iterable[int]) -> bool:
+        """Whether an edge has one endpoint in ``s`` and the other in ``u``.
+
+        The sets may overlap. With ``W = s & u`` there is no crossing edge iff
+        ``W`` is independent (``cc(W) == |W|``) and
+        ``cc(s-W) + cc(W) + cc(u-W) == cc(s | u)``. The cost is one query per
+        non-empty set among ``W``, ``s-W`` and ``u-W`` plus one for the
+        union, except that a dependent ``W`` (answer True) or ``s == u == W``
+        (answer False) stops after the one query on ``W``. Either set empty
+        is False for free. Adaptive mode only.
+        """
+        self._require_adaptive()
+        s_set = set(s)
+        u_set = set(u)
+        union = s_set | u_set
+        self._check_range(union)
+        if not s_set or not u_set:
+            return False
+        w = s_set & u_set
+        if self.ledger.trace is None:
+            adj = self._graph.adjacency
+            w_independent = all(adj[a].isdisjoint(w) for a in w)
+        else:
+            cc_w = self._eval.cc(list(w)) if w else 0
+            w_independent = cc_w == len(w)
+        s_rest = len(s_set) > len(w)
+        u_rest = len(u_set) > len(w)
+        if not w_independent or not (s_rest or u_rest):
+            # A dependent W decides True, and s == u == W independent decides
+            # False, after the one query on W.
+            k = 1
+        else:
+            k = bool(w) + s_rest + u_rest + 1
+        self._charge(k)
+        if self.ledger.trace is None:
+            self.ledger.total_queries += k
+            small, big = (s_set, u_set) if len(s_set) <= len(u_set) else (u_set, s_set)
+            return any(not adj[a].isdisjoint(big) for a in small)
+        if k == 1:
+            self.ledger._record(w, cc_w)
+            return not w_independent
+        total = 0
+        for part in (w, s_set - w, u_set - w):
+            if part:
+                members = list(part)
+                answer = cc_w if part is w else self._eval.cc(members)
+                self.ledger._record(members, answer)
+                total += answer
+        cc_union = self._eval.cc(list(union))
+        self.ledger._record(union, cc_union)
+        return cc_union != total
+
+    def _probe(self, u: int, s: Iterable[int]) -> bool:
+        """Validate, charge and answer one neighbor probe in either mode."""
+        members = set(s)
+        self._check_range(members)
+        if u in members:
+            raise ValueError(f"probe vertex {u} may not belong to the probed set")
+        if not 0 <= u < self._graph.n:
+            raise ValueError(f"vertex {u} out of range")
+        if not members:
+            return False
+        self._charge(2)
+        return self._probe_answer(u, members)
+
+    def _probe_answer(self, u: int, members: set[int]) -> bool:
+        """Count and answer a charged probe on a valid, non-empty set."""
+        ledger = self.ledger
+        if ledger.trace is None:
+            ledger.total_queries += 2
+            return not self._graph.adjacency[u].isdisjoint(members)
+        without_u = list(members)
+        with_u = without_u + [u]
+        cc_with = self._eval.cc(with_u)
+        cc_without = self._eval.cc(without_u)
+        ledger._record(with_u, cc_with)
+        ledger._record(without_u, cc_without)
+        return cc_with - cc_without != 1
 
     # -- batched mode ------------------------------------------------------
 
@@ -277,8 +393,7 @@ class CcOracle:
         members = self._clean(s)
         self._charge(1)
         answer = self._eval.cc(members)
-        round_index = len(self.ledger.batch_sizes)
-        self.ledger._record(round_index, members, answer)
+        self.ledger._record(members, answer)
         self._pending.append(answer)
         self._pending_size += 1
         return len(self._pending) - 1
@@ -286,32 +401,13 @@ class CcOracle:
     def submit_or_probe(self, u: int, s: Iterable[int]) -> int:
         """Stage a neighbor probe for ``u`` against ``s``; two queries.
 
-        The batch answer is the boolean "u has a neighbor in s", the value the
-        paired queries on ``s + {u}`` and ``s`` jointly determine. An empty
-        ``s`` is answered False for free.
+        The batch answer is the boolean "u has a neighbor in s", decided
+        exactly as by :meth:`probe`. An empty ``s`` is answered False for free.
         """
         self._require_open()
-        members = self._clean(s)
-        if u in set(members):
-            raise ValueError(f"probe vertex {u} may not belong to the probed set")
-        if not 0 <= u < self._graph.n:
-            raise ValueError(f"vertex {u} out of range")
-        if not members:
-            self._pending.append(False)
-            return len(self._pending) - 1
-        self._charge(2)
-        round_index = len(self.ledger.batch_sizes)
-        if self.ledger.record_trace:
-            with_u = self._eval.cc(members + [u])
-            without = self._eval.cc(members)
-            self.ledger._record(round_index, members + [u], with_u)
-            self.ledger._record(round_index, members, without)
-            answer = (with_u - without) != 1
-        else:
-            self.ledger.total_queries += 2
-            answer = self._eval.hits_neighbor(u, members)
-        self._pending.append(bool(answer))
-        self._pending_size += 2
+        before = self.ledger.total_queries
+        self._pending.append(self._probe(u, s))
+        self._pending_size += self.ledger.total_queries - before
         return len(self._pending) - 1
 
     def submit_or_probes(self, u: int, rows: np.ndarray) -> range:
@@ -341,22 +437,12 @@ class CcOracle:
             nonempty = count if rows.shape[1] else 0
         self._charge(2 * nonempty)
         start = len(self._pending)
-        round_index = len(self.ledger.batch_sizes)
         if self.ledger.record_trace:
             for i in range(count):
-                members = (
-                    np.flatnonzero(rows[i]).tolist()
-                    if rows.dtype == np.bool_
-                    else sorted(set(rows[i].tolist()))
+                members = set(
+                    np.flatnonzero(rows[i]).tolist() if rows.dtype == np.bool_ else rows[i].tolist()
                 )
-                if not members:
-                    self._pending.append(False)
-                    continue
-                with_u = self._eval.cc(members + [u])
-                without = self._eval.cc(members)
-                self.ledger._record(round_index, members + [u], with_u)
-                self.ledger._record(round_index, members, without)
-                self._pending.append(bool((with_u - without) != 1))
+                self._pending.append(self._probe_answer(u, members) if members else False)
         else:
             answers = self._eval.hits_neighbor_rows(u, rows)
             self.ledger.total_queries += 2 * nonempty

@@ -18,52 +18,36 @@ from .graph_core import Edge, edge
 from .oracle import CcOracle, QueryBudgetExceeded
 
 KnownEdges = set  # set[Edge]; kept as a plain set of normalized pairs
+_EMPTY: frozenset[int] = frozenset()
 
 
 def has_neighbor(oracle: CcOracle, u: int, s: Iterable[int]) -> bool:
-    """Whether ``u`` has at least one neighbor inside ``s``; two queries.
-
-    Decided as ``cc(s + {u}) - cc(s) != 1``: adding ``u`` either creates its
-    own component (difference 1, no neighbor) or merges k >= 1 existing
-    components (difference 1-k <= 0). Empty ``s`` is False for free.
-    """
-    members = list(s)
-    if u in members:
-        raise ValueError(f"vertex {u} must not belong to s")
-    if not members:
-        return False
-    with_u = oracle.query(members + [u])
-    without = oracle.query(members)
-    return (with_u - without) != 1
+    """Whether ``u`` has at least one neighbor inside ``s``; see :meth:`CcOracle.probe`."""
+    return oracle.probe(u, s)
 
 
 def has_cross_edge(oracle: CcOracle, s: Iterable[int], u: Iterable[int]) -> bool:
-    """Whether any edge has one endpoint in ``s`` and the other in ``u``.
+    """Whether an edge joins ``s`` and ``u``; see :meth:`CcOracle.cross`."""
+    return oracle.cross(s, u)
 
-    The sets may overlap. At most four queries: with ``W = s & u`` there is no
-    crossing edge iff ``cc(s-W) + cc(W) + cc(u-W) == cc(s | u)`` and ``W`` is
-    independent (``cc(W) == |W|``).
-    """
-    s_set = set(s)
-    u_set = set(u)
-    if not s_set or not u_set:
-        return False
-    w = s_set & u_set
-    cc_w = 0
-    if w:
-        cc_w = oracle.query(w)
-        if cc_w != len(w):
-            return True
-    s_only = s_set - w
-    u_only = u_set - w
-    if not s_only and not u_only:
-        return False  # s == u and the intersection is independent
-    total = cc_w
-    if s_only:
-        total += oracle.query(s_only)
-    if u_only:
-        total += oracle.query(u_only)
-    return oracle.query(s_set | u_set) != total
+
+class _Halt(Exception):
+    """Stops an adjacency search whose query allowance is used up."""
+
+
+def _adjacent_in_block(
+    oracle: CcOracle, s_set: set[int], block: Sequence[int], out: list[int], stop_at: int | None
+) -> None:
+    if stop_at is not None and oracle.ledger.total_queries >= stop_at:
+        raise _Halt
+    if not has_cross_edge(oracle, s_set, block):
+        return
+    if len(block) == 1:
+        out.append(block[0])
+        return
+    mid = (len(block) + 1) // 2
+    _adjacent_in_block(oracle, s_set, block[:mid], out, stop_at)
+    _adjacent_in_block(oracle, s_set, block[mid:], out, stop_at)
 
 
 def find_adjacent_to_set(
@@ -78,27 +62,10 @@ def find_adjacent_to_set(
     Costs O(sum of degrees over s * log n) queries. When ``max_queries`` is
     given and exhausted the search halts and returns None.
     """
-    s_set = set(s)
-    start = oracle.ledger.total_queries
+    stop_at = None if max_queries is None else oracle.ledger.total_queries + max_queries
     out: list[int] = []
-
-    class _Halt(Exception):
-        pass
-
-    def recurse(block: Sequence[int]) -> None:
-        if max_queries is not None and oracle.ledger.total_queries - start >= max_queries:
-            raise _Halt
-        if not has_cross_edge(oracle, s_set, block):
-            return
-        if len(block) == 1:
-            out.append(block[0])
-            return
-        mid = (len(block) + 1) // 2
-        recurse(block[:mid])
-        recurse(block[mid:])
-
     try:
-        recurse(list(range(oracle.n)))
+        _adjacent_in_block(oracle, set(s), list(range(oracle.n)), out, stop_at)
     except _Halt:
         return None
     return out
@@ -175,6 +142,95 @@ class ForestBudget:
         return math.ceil(self.c_density * mu * math.log2(vs_size) / math.log2(mu))
 
 
+class _DensitySearch:
+    """The recursive bipartition of :func:`density_reconstruct` over its state.
+
+    An object rather than nested closures, so that no function refers to
+    itself and a finished search, with the oracle its ``density_fn`` holds, is
+    freed by reference counting alone.
+    """
+
+    def __init__(self, kadj: dict[int, set[int]], density_fn: Callable[[list[int]], int]):
+        self.kadj = kadj
+        self.density_fn = density_fn
+        self.memo: dict[tuple[int, ...], int] = {}
+        self.found: list[Edge] = []
+
+    def known_within(self, block: Sequence[int]) -> int:
+        if not self.kadj:
+            return 0
+        blk = set(block)
+        return sum(len(self.kadj.get(v, _EMPTY) & blk) for v in blk) // 2
+
+    def known_across(self, a_blk: Sequence[int], b_blk: Sequence[int]) -> int:
+        if not self.kadj:
+            return 0
+        b_set = set(b_blk)
+        return sum(len(self.kadj.get(v, _EMPTY) & b_set) for v in a_blk)
+
+    def d(self, block: Sequence[int]) -> int:
+        # The cross recursion revisits its fixed side at every split level;
+        # answers already paid for are reused instead of requeried.
+        if len(block) < 2:
+            return 0
+        key = tuple(block)
+        if key not in self.memo:
+            self.memo[key] = self.density_fn(list(block)) - self.known_within(block)
+        return self.memo[key]
+
+    def emit_all_within(self, block: Sequence[int]) -> None:
+        blk = sorted(block)
+        for i, a in enumerate(blk):
+            for b in blk[i + 1 :]:
+                if b not in self.kadj.get(a, ()):
+                    self.found.append(edge(a, b))
+
+    def emit_all_across(self, a_blk: Sequence[int], b_blk: Sequence[int]) -> None:
+        for a in a_blk:
+            for b in b_blk:
+                if b not in self.kadj.get(a, ()):
+                    self.found.append(edge(a, b))
+
+    def within(self, block: Sequence[int], du: int) -> None:
+        if du <= 0 or len(block) < 2:
+            return
+        pairs = len(block) * (len(block) - 1) // 2 - self.known_within(block)
+        if du >= pairs:
+            self.emit_all_within(block)
+            return
+        mid = (len(block) + 1) // 2
+        a_blk, b_blk = block[:mid], block[mid:]
+        da = self.d(a_blk)
+        db = self.d(b_blk)
+        self.within(a_blk, da)
+        self.within(b_blk, db)
+        self.across(a_blk, b_blk, du - da - db, db)
+
+    def across(self, a_blk: Sequence[int], b_blk: Sequence[int], c: int, db: int) -> None:
+        if c <= 0:
+            return
+        pairs = len(a_blk) * len(b_blk) - self.known_across(a_blk, b_blk)
+        if c >= pairs:
+            self.emit_all_across(a_blk, b_blk)
+            return
+        if len(a_blk) >= len(b_blk):
+            mid = (len(a_blk) + 1) // 2
+            a1, a2 = a_blk[:mid], a_blk[mid:]
+            da1 = self.d(a1)
+            c1 = self.d(list(a1) + list(b_blk)) - da1 - db
+            self.across(a1, b_blk, c1, db)
+            self.across(a2, b_blk, c - c1, db)
+        else:
+            mid = (len(b_blk) + 1) // 2
+            b1, b2 = b_blk[:mid], b_blk[mid:]
+            da = self.d(a_blk)
+            db1 = self.d(b1)
+            c1 = self.d(list(a_blk) + list(b1)) - da - db1
+            self.across(a_blk, b1, c1, db1)
+            if c - c1 > 0:
+                self.across(a_blk, b2, c - c1, self.d(b2))
+
+
 def density_reconstruct(
     vs: Iterable[int],
     known: KnownEdges,
@@ -198,92 +254,12 @@ def density_reconstruct(
         if a in member_set and b in member_set:
             kadj.setdefault(a, set()).add(b)
             kadj.setdefault(b, set()).add(a)
-
-    empty: frozenset[int] = frozenset()
-
-    def known_within(block: Sequence[int]) -> int:
-        if not kadj:
-            return 0
-        blk = set(block)
-        return sum(len(kadj.get(v, empty) & blk) for v in blk) // 2
-
-    def known_across(a_blk: Sequence[int], b_blk: Sequence[int]) -> int:
-        if not kadj:
-            return 0
-        b_set = set(b_blk)
-        return sum(len(kadj.get(v, empty) & b_set) for v in a_blk)
-
-    memo: dict[tuple[int, ...], int] = {}
-
-    def d(block: Sequence[int]) -> int:
-        # The cross recursion revisits its fixed side at every split level;
-        # answers already paid for are reused instead of requeried.
-        if len(block) < 2:
-            return 0
-        key = tuple(block)
-        if key not in memo:
-            memo[key] = density_fn(list(block)) - known_within(block)
-        return memo[key]
-
-    found: list[Edge] = []
-
-    def emit_all_within(block: Sequence[int]) -> None:
-        blk = sorted(block)
-        for i, a in enumerate(blk):
-            for b in blk[i + 1 :]:
-                if b not in kadj.get(a, ()):
-                    found.append(edge(a, b))
-
-    def emit_all_across(a_blk: Sequence[int], b_blk: Sequence[int]) -> None:
-        for a in a_blk:
-            for b in b_blk:
-                if b not in kadj.get(a, ()):
-                    found.append(edge(a, b))
-
-    def within(block: Sequence[int], du: int) -> None:
-        if du <= 0 or len(block) < 2:
-            return
-        pairs = len(block) * (len(block) - 1) // 2 - known_within(block)
-        if du >= pairs:
-            emit_all_within(block)
-            return
-        mid = (len(block) + 1) // 2
-        a_blk, b_blk = block[:mid], block[mid:]
-        da = d(a_blk)
-        db = d(b_blk)
-        within(a_blk, da)
-        within(b_blk, db)
-        across(a_blk, b_blk, du - da - db, db)
-
-    def across(a_blk: Sequence[int], b_blk: Sequence[int], c: int, db: int) -> None:
-        if c <= 0:
-            return
-        pairs = len(a_blk) * len(b_blk) - known_across(a_blk, b_blk)
-        if c >= pairs:
-            emit_all_across(a_blk, b_blk)
-            return
-        if len(a_blk) >= len(b_blk):
-            mid = (len(a_blk) + 1) // 2
-            a1, a2 = a_blk[:mid], a_blk[mid:]
-            da1 = d(a1)
-            c1 = d(list(a1) + list(b_blk)) - da1 - db
-            across(a1, b_blk, c1, db)
-            across(a2, b_blk, c - c1, db)
-        else:
-            mid = (len(b_blk) + 1) // 2
-            b1, b2 = b_blk[:mid], b_blk[mid:]
-            da = d(a_blk)
-            db1 = d(b1)
-            c1 = d(list(a_blk) + list(b1)) - da - db1
-            across(a_blk, b1, c1, db1)
-            if c - c1 > 0:
-                across(a_blk, b2, c - c1, d(b2))
-
+    search = _DensitySearch(kadj, density_fn)
     try:
-        within(order, d(order))
+        search.within(order, search.d(order))
     except QueryBudgetExceeded:
         pass
-    return found
+    return search.found
 
 
 def reconstruct_forest(
@@ -330,6 +306,17 @@ def reconstruct_forest(
     return verified
 
 
+def _halving_search(oracle: CcOracle, v: int, block: list[int], hits: list[int]) -> None:
+    if not has_neighbor(oracle, v, block):
+        return
+    if len(block) == 1:
+        hits.append(block[0])
+        return
+    mid = (len(block) + 1) // 2
+    _halving_search(oracle, v, block[:mid], hits)
+    _halving_search(oracle, v, block[mid:], hits)
+
+
 def binary_search_reconstruct(
     oracle: CcOracle,
     vs: Iterable[int],
@@ -343,23 +330,22 @@ def binary_search_reconstruct(
     the sorted vertex order.
     """
     order = sorted(set(vs))
-    kn = set(known)
+    # Each vertex's non-partners: itself and its known or found neighbors.
+    excluded = {v: {v} for v in order}
+    for a, b in known:
+        if a in excluded and b in excluded:
+            excluded[a].add(b)
+            excluded[b].add(a)
     found: set[Edge] = set()
-
-    def search(v: int, block: list[int]) -> None:
-        if not has_neighbor(oracle, v, block):
-            return
-        if len(block) == 1:
-            found.add(edge(v, block[0]))
-            return
-        mid = (len(block) + 1) // 2
-        search(v, block[:mid])
-        search(v, block[mid:])
-
     for v in order:
-        partners = [w for w in order if w != v and edge(v, w) not in kn and edge(v, w) not in found]
+        skip = excluded[v]
+        partners = [w for w in order if w not in skip]
+        hits: list[int] = []
         if partners:
-            search(v, partners)
+            _halving_search(oracle, v, partners, hits)
+        for w in hits:
+            found.add(edge(v, w))
+            excluded[w].add(v)
     return found
 
 

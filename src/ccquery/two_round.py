@@ -122,15 +122,6 @@ def estimate_degree(
     return decode_degree(plan, oracle.close_batch())
 
 
-def or_query_via_cc(oracle: CcOracle, u: int, s) -> int:
-    """Stage "does s contain a neighbor of u" as a pair of batched queries.
-
-    Returns the answer index; the boolean is read from the batch answers after
-    the round closes. An empty ``s`` is staged as False at no query cost.
-    """
-    return oracle.submit_or_probe(u, s)
-
-
 def group_test_query_count(d: float, n: int, alpha: float, c_gt: float = GROUP_TEST_RATE) -> int:
     """Number of random test sets: ``ceil(c_gt * d * ln(n/alpha))``."""
     return math.ceil(c_gt * d * math.log(n / alpha))

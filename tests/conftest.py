@@ -47,6 +47,34 @@ def brute_cross_edge(g: Graph, s, u) -> bool:
     )
 
 
+def formula_probe(query, u: int, s) -> bool:
+    """The neighbor probe as the two-query formula ``cc(s+u) - cc(s) != 1``
+    over any ``query`` callable; empty ``s`` is False for free."""
+    members = list(s)
+    if not members:
+        return False
+    return query(members + [u]) - query(members) != 1
+
+
+def formula_cross(query, s, u) -> bool:
+    """The cross-edge test as its one-to-four-query overlap formula over any
+    ``query`` callable."""
+    s_set, u_set = set(s), set(u)
+    if not s_set or not u_set:
+        return False
+    w = s_set & u_set
+    cc_w = 0
+    if w:
+        cc_w = query(w)
+        if cc_w != len(w):
+            return True
+    s_only, u_only = s_set - w, u_set - w
+    if not s_only and not u_only:
+        return False
+    total = cc_w + (query(s_only) if s_only else 0) + (query(u_only) if u_only else 0)
+    return query(s_set | u_set) != total
+
+
 def brute_adjacent_to_set(g: Graph, s) -> list[int]:
     s_set = set(s)
     return sorted(v for v in range(g.n) if any(w in s_set for w in g.adjacency[v]))

@@ -25,7 +25,7 @@ from ccquery import (
 )
 from ccquery.adaptive import _coloring_sweeps, _pair_phase, _partition_levels
 from ccquery.oracle import QueryLedger
-from conftest import random_graph
+from conftest import formula_cross, formula_probe, random_graph
 
 
 def matching(n: int) -> Graph:
@@ -37,10 +37,6 @@ def matching(n: int) -> Graph:
 
 def test_sample_rate_value():
     assert sample_rate(1000, 10) == pytest.approx(4.642e-3, rel=1e-3)
-    from ccquery import SampleParams
-
-    params = SampleParams(m=1000, d=10, ell=5)
-    assert params.p == sample_rate(1000, 10)
 
 
 def test_whp_iterations_value():
@@ -206,6 +202,12 @@ def test_adaptive_explicit_failure_on_garbage_oracle():
         def query(self, s):
             self.ledger.total_queries += 1
             return 2 if len(set(s)) <= 2 else 1
+
+        def probe(self, u, s):
+            return formula_probe(self.query, u, s)
+
+        def cross(self, s, u):
+            return formula_cross(self.query, s, u)
 
     cfg = AdaptiveConfig(restart_cap=3)
     rep = adaptive_reconstruct(_Garbage(), 6, np.random.default_rng(0), cfg)

@@ -1,18 +1,29 @@
 """Oracle accounting, round contracts, budget signals, and answer fidelity."""
 
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccquery import (
     BatchContractError,
     CcOracle,
     Graph,
     QueryBudgetExceeded,
+    adaptive_reconstruct,
     binary_search_reconstruct,
     cc_count,
+    find_adjacent_to_set,
     gnm_graph,
+    has_cross_edge,
+    has_neighbor,
+    reconstruct_forest,
 )
-from conftest import random_graph
+from conftest import formula_cross, formula_probe, random_graph
 
 
 def triangle() -> Graph:
@@ -174,6 +185,20 @@ def test_trace_dump_format(tmp_path):
     assert path.read_text() == "0 3 1 0 1 2\n1 2 1 0 2\n"
 
 
+def test_recorded_trace_is_pinned(tmp_path):
+    # Traced predicates write one record per formula query, in formula order
+    # and with per-query round indices; the digest pins that output.
+    hidden = gnm_graph(24, 40, np.random.default_rng(3))
+    o = CcOracle(hidden, record_trace=True)
+    assert adaptive_reconstruct(o, 40, np.random.default_rng(4)).total_queries == 648
+    assert find_adjacent_to_set(o, [0, 5, 9]) == [0, 4, 8, 9, 10, 13, 14, 15, 16, 17, 20, 21]
+    assert o.ledger.total_queries == 780
+    path = tmp_path / "trace.txt"
+    o.ledger.dump_trace(str(path), verbose=True)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "bffd6cf7bd927dc9fd8c3bfc52e5245f40087b905497ab8c8f725e017f6e47c9"
+
+
 def test_trace_dump_requires_recording():
     o = CcOracle(triangle())
     o.query([0])
@@ -195,8 +220,117 @@ class _GarbageOracle:
         self.ledger.total_queries += 1
         return 1
 
+    def probe(self, u, s):
+        return formula_probe(self.query, u, s)
+
+    def cross(self, s, u):
+        return formula_cross(self.query, s, u)
+
 
 def test_reconstruction_fails_on_garbage_oracle(rng):
     hidden = gnm_graph(16, 20, rng)
     got = binary_search_reconstruct(_GarbageOracle(16), list(range(16)), set())
     assert got != hidden.edges  # the only path to the graph is honest queries
+
+
+# -- traced and untraced predicates ----------------------------------------------
+
+
+@st.composite
+def predicate_cases(draw):
+    """A small graph, a sequence of probes and cross-edge tests, and a budget."""
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    vertex_lists = st.lists(st.integers(0, n - 1), max_size=n + 2)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("probe"), st.integers(0, n - 1), vertex_lists),
+                st.tuples(st.just("cross"), vertex_lists, vertex_lists),
+            ),
+            max_size=8,
+        )
+    )
+    budget = draw(st.none() | st.integers(0, 30))
+    return Graph(n, edges), ops, budget
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (QueryBudgetExceeded, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _counted_formula(formula, g, *args):
+    """The reference formula's answer and the number of queries it asks."""
+    asked = []
+
+    def query(s):
+        asked.append(s)
+        return cc_count(g, s)
+
+    return formula(query, *args), len(asked)
+
+
+@given(predicate_cases())
+@settings(max_examples=300, deadline=None)
+def test_traced_and_untraced_predicates_agree(case):
+    g, ops, budget = case
+    runs = {}
+    for record in (False, True):
+        o = CcOracle(g, budget=budget, record_trace=record)
+        steps = []
+        for op, a, b in ops:
+            fn = has_neighbor if op == "probe" else has_cross_edge
+            steps.append((_outcome(lambda: fn(o, a, b)), o.ledger.total_queries))
+        batched = CcOracle(g, mode="batched", budget=budget, record_trace=record)
+        batched.open_batch()
+        staged = [
+            (_outcome(lambda: batched.submit_or_probe(a, b)), batched.ledger.total_queries)
+            for op, a, b in ops
+            if op == "probe"
+        ]
+        runs[record] = (steps, staged, batched.close_batch())
+        for traced in (o.ledger.trace, batched.ledger.trace):
+            for _, members, answer in traced or ():
+                assert answer == cc_count(g, members)
+    assert runs[False] == runs[True]
+    # Answered predicates match the cc formulas in value and in queries asked.
+    steps = runs[False][0]
+    before = 0
+    for (op, a, b), (outcome, total) in zip(ops, steps):
+        if isinstance(outcome, bool):
+            formula = formula_probe if op == "probe" else formula_cross
+            assert _counted_formula(formula, g, a, b) == (outcome, total - before)
+        else:
+            assert total == before  # a refused predicate charges nothing
+        before = total
+
+
+def test_traced_and_untraced_halving_reconstruction_agree():
+    hidden = gnm_graph(48, 120, np.random.default_rng(5))
+    reports = [
+        adaptive_reconstruct(CcOracle(hidden, record_trace=record), 120, np.random.default_rng(6))
+        for record in (False, True)
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0].success and reports[0].edges == hidden.edges
+
+
+def test_finished_searches_free_the_oracle_without_the_cycle_collector(rng):
+    hidden = gnm_graph(40, 80, rng)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        o = CcOracle(hidden, record_trace=True)
+        assert adaptive_reconstruct(o, 80, np.random.default_rng(1)).success
+        assert find_adjacent_to_set(o, [0, 1, 2], max_queries=3) is None  # halted search
+        reconstruct_forest(o, list(range(0, 40, 4)), set())
+        ref = weakref.ref(o)
+        del o
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -14,7 +14,6 @@ from ccquery import (
     estimate_degree,
     gnm_graph,
     group_test_query_count,
-    or_query_via_cc,
     plan_degree,
     plan_neighborhood,
     resolve_profile,
@@ -111,7 +110,7 @@ def test_or_query_requires_open_batch(rng):
     g = gnm_graph(10, 12, rng)
     o = CcOracle(g, mode="batched")
     with pytest.raises(BatchContractError):
-        or_query_via_cc(o, 0, [1, 2])
+        o.submit_or_probe(0, [1, 2])
 
 
 def test_or_query_matches_has_neighbor(rng):
@@ -124,7 +123,7 @@ def test_or_query_matches_has_neighbor(rng):
             u = int(rng.integers(9))
             size = int(rng.integers(0, 8))
             s = [v for v in rng.choice(9, size=size, replace=False).tolist() if v != u]
-            cases.append((u, s, or_query_via_cc(o, u, s)))
+            cases.append((u, s, o.submit_or_probe(u, s)))
         answers = o.close_batch()
         for u, s, idx in cases:
             assert answers[idx] == brute_has_neighbor(g, u, s)
@@ -134,7 +133,7 @@ def test_or_query_empty_set_is_free(rng):
     g = gnm_graph(6, 5, rng)
     o = CcOracle(g, mode="batched")
     o.open_batch()
-    idx = or_query_via_cc(o, 0, [])
+    idx = o.submit_or_probe(0, [])
     answers = o.close_batch()
     assert answers[idx] is False
     assert o.ledger.total_queries == 0
