@@ -27,8 +27,8 @@ batched = CcOracle(hidden, mode="batched", max_rounds=2)
 batched.open_batch()
 first = batched.submit([0, 1, 2, 3])
 second = batched.submit_or_probe(5, [0, 1, 2])
-answers = batched.close_batch()
-print("batched answers:", answers[first], answers[second])
+answers = batched.close_batch()  # one int64 array, since it holds a count
+print("batched answers:", answers[first], bool(answers[second]))
 print("rounds used:", batched.ledger.num_rounds)
 
 # Traces replay: each recorded answer matches a fresh evaluation.

@@ -17,7 +17,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adaptive import AdaptiveConfig, adaptive_reconstruct
-from .graph_core import Edge, Graph, InstanceSpec, cc_count, edge, generate
+from .graph_core import (
+    Edge,
+    Graph,
+    InstanceSpec,
+    cc_count,
+    clique_minus_edge_shape,
+    edge,
+    generate,
+)
 from .oracle import CcOracle
 from .primitives import binary_search_reconstruct
 from .reporting import ReconstructionReport
@@ -222,10 +230,7 @@ class AdaptiveLbAdapter:
     """
 
     def __init__(self, array: list[int], n: int, m: int):
-        n0 = 2
-        while (n0 + 1) * n0 // 2 - 1 <= m:
-            n0 += 1
-        m_dum = m - (n0 * (n0 - 1) // 2 - 1)
+        n0, m_dum = clique_minus_edge_shape(m)
         if len(array) != n0 * (n0 - 1) // 2:
             raise ValueError(
                 f"array length {len(array)} != {n0 * (n0 - 1) // 2} clique slots for m={m}"

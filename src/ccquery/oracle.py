@@ -11,6 +11,12 @@ and enforces the adaptivity contract. Two modes exist:
   are released together by :meth:`CcOracle.close_batch`. With ``max_rounds=k``
   this realizes a k-round algorithm; ``k=1`` is non-adaptive.
 
+:meth:`CcOracle.close_batch` returns the answers as one numpy array indexed
+by the positions the submit calls returned: dtype ``bool`` when the batch
+staged only neighbor probes (one byte per staged probe answer), ``int64`` once
+it holds a component count from :meth:`CcOracle.submit` (probe answers are
+then 0 or 1).
+
 A query budget, when set, is a recoverable signal: the violating query raises
 :class:`QueryBudgetExceeded` before being answered, and subroutines with
 halting rules catch it and truncate.
@@ -195,7 +201,7 @@ class _CcEvaluator:
         row = self.neighbor_row(u)
         if rows.dtype == np.bool_:
             return (rows & row).any(axis=1)
-        return row[rows].any(axis=1)
+        return np.take(row, rows).any(axis=1)
 
 
 class CcOracle:
@@ -227,8 +233,7 @@ class CcOracle:
         self.budget = budget
         self.ledger = QueryLedger(mode, max_rounds, record_trace)
         self._batch_open = False
-        self._pending: list[int | bool] = []
-        self._pending_size = 0
+        self._reset_batch()
 
     @property
     def n(self) -> int:
@@ -380,12 +385,32 @@ class CcOracle:
         ):
             raise BatchContractError(f"round budget of {self.ledger.max_rounds} exhausted")
         self._batch_open = True
-        self._pending = []
+        self._reset_batch()
+
+    def _reset_batch(self) -> None:
+        # Answers of the open batch: numpy chunks in staging order, then the
+        # scalar answers staged since the last chunk, buffered so that single
+        # submits allocate no array each.
+        self._chunks: list[np.ndarray] = []
+        self._scalars: list[int | bool] = []
+        self._staged = 0
+        self._has_counts = False
         self._pending_size = 0
 
     def _require_open(self) -> None:
         if not self._batch_open:
             raise BatchContractError("no batch is open")
+
+    def _stage(self, answer: int | bool) -> int:
+        self._scalars.append(answer)
+        self._staged += 1
+        return self._staged - 1
+
+    def _flush_scalars(self) -> None:
+        if self._scalars:
+            dtype = np.int64 if self._has_counts else np.bool_
+            self._chunks.append(np.array(self._scalars, dtype=dtype))
+            self._scalars = []
 
     def submit(self, s: Iterable[int]) -> int:
         """Stage one query; returns its index among the batch answers."""
@@ -394,9 +419,9 @@ class CcOracle:
         self._charge(1)
         answer = self._eval.cc(members)
         self.ledger._record(members, answer)
-        self._pending.append(answer)
+        self._has_counts = True
         self._pending_size += 1
-        return len(self._pending) - 1
+        return self._stage(answer)
 
     def submit_or_probe(self, u: int, s: Iterable[int]) -> int:
         """Stage a neighbor probe for ``u`` against ``s``; two queries.
@@ -406,16 +431,18 @@ class CcOracle:
         """
         self._require_open()
         before = self.ledger.total_queries
-        self._pending.append(self._probe(u, s))
+        answer = self._probe(u, s)
         self._pending_size += self.ledger.total_queries - before
-        return len(self._pending) - 1
+        return self._stage(answer)
 
     def submit_or_probes(self, u: int, rows: np.ndarray) -> range:
         """Stage one neighbor probe per row of ``rows``; two queries each.
 
         Rows are sample sets for ``u``, given either as an integer id matrix
         (duplicates collapse into the queried set) or a boolean membership
-        matrix of width n. Returns the index range of the staged answers.
+        matrix of width n. Returns the index range of the staged answers,
+        which are kept as one bool chunk: a byte per probe until
+        :meth:`close_batch`.
         """
         self._require_open()
         if not 0 <= u < self._graph.n:
@@ -423,8 +450,8 @@ class CcOracle:
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-d array")
-        if rows.dtype != np.bool_ and (
-            (rows < 0).any() or (rows >= self._graph.n).any() or (rows == u).any()
+        if rows.dtype != np.bool_ and rows.size and (
+            rows.min() < 0 or rows.max() >= self._graph.n or (rows == u).any()
         ):
             raise ValueError("sample ids out of range or equal to the probed vertex")
         if rows.dtype == np.bool_ and rows[:, u].any():
@@ -436,26 +463,43 @@ class CcOracle:
         else:
             nonempty = count if rows.shape[1] else 0
         self._charge(2 * nonempty)
-        start = len(self._pending)
         if self.ledger.record_trace:
+            answers = np.zeros(count, dtype=bool)
             for i in range(count):
                 members = set(
                     np.flatnonzero(rows[i]).tolist() if rows.dtype == np.bool_ else rows[i].tolist()
                 )
-                self._pending.append(self._probe_answer(u, members) if members else False)
+                if members:
+                    answers[i] = self._probe_answer(u, members)
         else:
             answers = self._eval.hits_neighbor_rows(u, rows)
             self.ledger.total_queries += 2 * nonempty
-            self._pending.extend(answers.tolist())
+        self._flush_scalars()
+        self._chunks.append(answers)
+        start = self._staged
+        self._staged += count
         self._pending_size += 2 * nonempty
         return range(start, start + count)
 
-    def close_batch(self) -> list[int | bool]:
-        """Release the batch answers atomically and count the round."""
+    def close_batch(self) -> np.ndarray:
+        """Release the batch answers atomically and count the round.
+
+        The answers come as one array, position ``i`` answering the submit
+        call that returned ``i``. Its dtype is ``bool`` when only neighbor
+        probes were staged, a byte per answer, and ``int64`` once a
+        :meth:`submit` staged a component count, probe answers then reading
+        0 or 1. An empty batch gives an empty ``bool`` array.
+        """
         self._require_open()
-        answers = self._pending
+        self._flush_scalars()
+        chunks = self._chunks
+        if not chunks:
+            answers = np.zeros(0, dtype=bool)
+        elif len(chunks) == 1:
+            answers = chunks[0]  # already of the batch's dtype
+        else:
+            answers = np.concatenate(chunks, dtype=np.int64 if self._has_counts else np.bool_)
         self.ledger.batch_sizes.append(self._pending_size)
         self._batch_open = False
-        self._pending = []
-        self._pending_size = 0
+        self._reset_batch()
         return answers

@@ -52,8 +52,8 @@ class DegreePlan:
     For every scale ``p`` the plan holds ``ell`` rows of ``2^p`` iid uniform
     draws from the other vertices (duplicates collapse in the queried set);
     each row is materialized as one two-query neighbor probe. Draw matrices
-    are released after submission by default since decoding needs only the
-    probe answers.
+    are released after submission since decoding needs only the probe
+    answers.
     """
 
     u: int
@@ -85,17 +85,16 @@ def plan_degree(u: int, n: int, epsilon: float, rng: np.random.Generator) -> Deg
     return DegreePlan(u=u, n=n, epsilon=epsilon, ell=ell, p_max=p_max, draws=draws)
 
 
-def submit_degree_plan(oracle: CcOracle, plan: DegreePlan, release_draws: bool = True) -> None:
-    """Stage every probe of the plan into the open batch."""
+def submit_degree_plan(oracle: CcOracle, plan: DegreePlan) -> None:
+    """Stage every probe of the plan into the open batch, then drop the draws."""
     if plan.draws is None:
         raise ValueError("plan was already submitted")
     for rows in plan.draws:
         plan.answer_slices.append(oracle.submit_or_probes(plan.u, rows))
-    if release_draws:
-        plan.draws = None
+    plan.draws = None
 
 
-def decode_degree(plan: DegreePlan, answers: list) -> float:
+def decode_degree(plan: DegreePlan, answers: np.ndarray) -> float:
     """Degree estimate from the batch answers of a submitted plan.
 
     ``Z_p`` is the fraction of scale-``p`` samples disjoint from the
@@ -105,7 +104,7 @@ def decode_degree(plan: DegreePlan, answers: list) -> float:
     """
     p_star = 0
     for p_idx, sl in enumerate(plan.answer_slices):
-        hit_count = sum(1 for i in sl if answers[i])
+        hit_count = np.count_nonzero(answers[sl.start : sl.stop])
         z = 1.0 - hit_count / plan.ell
         if z > DEGREE_THRESHOLD:
             p_star = p_idx + 1
@@ -172,7 +171,7 @@ def submit_neighborhood_plan(oracle: CcOracle, plan: GroupTestPlan) -> None:
     plan.answer_slice = oracle.submit_or_probes(plan.u, plan.membership)
 
 
-def decode_neighborhood(plan: GroupTestPlan, answers: list) -> list[int] | None:
+def decode_neighborhood(plan: GroupTestPlan, answers: np.ndarray) -> list[int] | None:
     """Neighbor set of ``u`` from the test answers, or None for a certain FAIL.
 
     A vertex survives iff every test set containing it answered positively, so
@@ -182,7 +181,8 @@ def decode_neighborhood(plan: GroupTestPlan, answers: list) -> list[int] | None:
     """
     if plan.answer_slice is None:
         raise ValueError("plan was not submitted")
-    hits = np.fromiter((bool(answers[i]) for i in plan.answer_slice), dtype=bool)
+    sl = plan.answer_slice
+    hits = np.asarray(answers[sl.start : sl.stop], dtype=bool)
     excluded = plan.membership[~hits].any(axis=0)
     survivors = ~excluded
     survivors[plan.u] = False
@@ -218,11 +218,19 @@ def two_round_reconstruct(
     """Reconstruct the hidden graph in exactly two batched rounds.
 
     Round one estimates all degrees; if the estimates already contradict the
-    edge bound (sum above ``8m``) the run fails explicitly. Round two recovers
-    every neighborhood by group testing with the per-vertex estimates. The
-    result is accepted only if all decodes succeed and the neighborhoods are
-    mutually consistent, so a returned graph is never silently wrong. An edge
-    bound of zero short-circuits to the empty graph.
+    edge bound the run fails explicitly. The gate requires the estimates to
+    sum to at most ``8m + 2n``. A vertex of degree ``d >= 1`` is estimated
+    within ``[d, 4d]`` (with the estimator's probability), so those estimates
+    sum to at most ``4 * 2m = 8m``. ``decode_degree`` puts an isolated vertex
+    at its fallback ``2(n-1)/2^p_max <= 2``, which adds at most ``2n``. A
+    passing gate keeps round two at ``O((m + n) log(n/alpha))`` queries,
+    inside the paper's bound.
+
+    Round two recovers every neighborhood by group testing with the
+    per-vertex estimates. The result is accepted only if all decodes succeed
+    and the neighborhoods are mutually consistent, so a returned graph is
+    never silently wrong. An edge bound of zero short-circuits to the empty
+    graph.
 
     ``stats_out``, when given, receives the degree estimates and the gate
     verdict for query-accounting checks.
@@ -242,12 +250,13 @@ def two_round_reconstruct(
         plans.append(plan)
     answers = oracle.close_batch()
     estimates = [decode_degree(plan, answers) for plan in plans]
+    del answers, plans  # free round one before round two's plans are drawn
     if stats_out is not None:
         stats_out["degree_estimates"] = list(estimates)
         stats_out["epsilon"] = epsilon
         stats_out["alpha"] = alpha
 
-    if sum(estimates) > 8.0 * m:
+    if sum(estimates) > 8.0 * m + 2.0 * n:
         if stats_out is not None:
             stats_out["gate_passed"] = False
         return _trivial_report(oracle, success=False)

@@ -64,7 +64,8 @@ def test_batched_contract():
     assert answers[i] == 1 and answers[j] == 1
     assert o.ledger.num_rounds == 1
     o.open_batch()
-    assert o.close_batch() == []  # empty batch still counts as a round
+    empty = o.close_batch()
+    assert empty.tolist() == [] and empty.dtype == bool  # still counts as a round
     assert o.ledger.num_rounds == 2
     with pytest.raises(BatchContractError):
         o.open_batch()  # round budget exhausted
@@ -159,6 +160,44 @@ def test_bulk_probe_empty_rows_are_free():
     assert [answers[i] for i in sl] == [True, False, False]
 
 
+def test_bulk_probe_validation():
+    o = CcOracle(triangle(), mode="batched")
+    o.open_batch()
+    for bad in ([[1, 3]], [[-1, 1]], [[1, 0]], [[2], [0]]):
+        with pytest.raises(ValueError):
+            o.submit_or_probes(0, np.array(bad))  # out of range or the probed vertex
+    with pytest.raises(ValueError):
+        o.submit_or_probes(0, np.array([[True, False, True]]))  # membership includes u
+    with pytest.raises(ValueError):
+        o.submit_or_probes(0, np.array([1, 2]))  # not a matrix
+    assert list(o.submit_or_probes(0, np.zeros((0, 2), dtype=np.int32))) == []
+    assert list(o.submit_or_probes(0, np.zeros((2, 0), dtype=np.int32))) == [0, 1]
+    assert o.close_batch().tolist() == [False, False]
+    assert o.ledger.total_queries == 0
+
+
+def test_close_batch_is_one_array_in_staging_order():
+    path = Graph(4, [(0, 1), (1, 2)])
+    o = CcOracle(path, mode="batched")
+    o.open_batch()
+    first = o.submit_or_probe(3, [0, 1])
+    bulk = o.submit_or_probes(0, np.array([[1, 1], [2, 3]]))
+    last = o.submit_or_probe(2, [1])
+    answers = o.close_batch()
+    assert (first, list(bulk), last) == (0, [1, 2], 3)
+    assert answers.dtype == bool
+    assert answers.tolist() == [False, True, False, True]
+    # A component count in the batch widens every answer to int64.
+    o.open_batch()
+    probe = o.submit_or_probe(1, [0])
+    count = o.submit([0, 1, 2, 3])
+    bulk = o.submit_or_probes(3, np.array([[0, 1], [2, 2]]))
+    answers = o.close_batch()
+    assert (probe, count, list(bulk)) == (0, 1, [2, 3])
+    assert answers.dtype == np.int64
+    assert answers.tolist() == [1, 2, 0, 0]
+    assert o.ledger.batch_sizes == [8, 7]
+
 def test_bulk_probe_trace_mode_consistent(rng):
     hidden = random_graph(rng, 8)
     fast = CcOracle(hidden, mode="batched")
@@ -168,7 +207,9 @@ def test_bulk_probe_trace_mode_consistent(rng):
     for o in (fast, traced):
         o.open_batch()
         o.submit_or_probes(2, rows)
-    assert fast.close_batch() == traced.close_batch()
+    fast_answers, traced_answers = fast.close_batch(), traced.close_batch()
+    assert fast_answers.dtype == traced_answers.dtype == bool
+    assert fast_answers.tolist() == traced_answers.tolist()
     assert fast.ledger.total_queries == traced.ledger.total_queries == 50
     for _, members, answer in traced.ledger.trace:
         assert cc_count(hidden, members) == answer
@@ -292,7 +333,7 @@ def test_traced_and_untraced_predicates_agree(case):
             for op, a, b in ops
             if op == "probe"
         ]
-        runs[record] = (steps, staged, batched.close_batch())
+        runs[record] = (steps, staged, batched.close_batch().tolist())
         for traced in (o.ledger.trace, batched.ledger.trace):
             for _, members, answer in traced or ():
                 assert answer == cc_count(g, members)

@@ -1,14 +1,22 @@
 """Degree estimation, group-testing recovery, and the two-batch contract."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccquery import (
     BatchContractError,
     CcOracle,
+    DegreePlan,
+    ExperimentConfig,
     Graph,
+    GroupTestPlan,
+    decode_degree,
     decode_neighborhood,
     degree_repetitions,
     estimate_degree,
@@ -22,6 +30,8 @@ from ccquery import (
     submit_neighborhood_plan,
     two_round_reconstruct,
 )
+from ccquery.lab import reports_to_csv_text, run_experiment
+from ccquery.two_round import DEGREE_THRESHOLD
 from conftest import all_graphs, brute_has_neighbor, random_graph
 
 
@@ -135,7 +145,7 @@ def test_or_query_empty_set_is_free(rng):
     o.open_batch()
     idx = o.submit_or_probe(0, [])
     answers = o.close_batch()
-    assert answers[idx] is False
+    assert answers.dtype == bool and answers.tolist()[idx] is False
     assert o.ledger.total_queries == 0
 
 
@@ -207,15 +217,31 @@ def test_two_round_requires_batched_oracle(rng):
 
 
 def test_two_round_gate_failure_still_two_rounds(rng):
-    # One true edge but a bound of one: isolated-vertex estimates inflate the
-    # degree sum past 8m, so the run fails explicitly after round one.
-    g = Graph(24, [(0, 1)])
+    # 120 edges against a claimed bound of 5: the degree estimates sum to at
+    # least 240, past the gate's 8m + 2n = 88, so the run fails explicitly
+    # after round one and still closes two rounds.
+    g = gnm_graph(24, 120, rng)
     o = CcOracle(g, mode="batched", max_rounds=2)
     stats = {}
-    rep = two_round_reconstruct(o, 1, rng, stats_out=stats)
+    rep = two_round_reconstruct(o, 5, rng, stats_out=stats)
     assert not rep.success
     assert rep.rounds == 2
     assert stats["gate_passed"] is False
+    assert sum(stats["degree_estimates"]) > 8 * 5 + 2 * 24
+
+
+def test_two_round_sparse_graph_with_isolated_vertices(rng):
+    # Each isolated vertex is estimated at about 2. With 34 to 38 of them the
+    # estimates sum past 8m, so the gate must allow 2 for each vertex.
+    for seed in range(2):
+        g = gnm_graph(64, 16, np.random.default_rng(seed))
+        assert sum(1 for v in range(64) if not g.adjacency[v]) > 16
+        o = CcOracle(g, mode="batched", max_rounds=2)
+        stats = {}
+        rep = two_round_reconstruct(o, g.m, np.random.default_rng(seed + 100), stats_out=stats)
+        assert sum(stats["degree_estimates"]) > 8 * g.m
+        assert stats["gate_passed"]
+        assert rep.success and rep.edges == g.edges and rep.rounds == 2
 
 
 def test_two_round_small_gnm_practical(rng):
@@ -250,3 +276,99 @@ def test_two_round_non_adaptivity_ledger(rng):
     assert sum(o.ledger.batch_sizes) == o.ledger.total_queries
     with pytest.raises(BatchContractError):
         o.open_batch()  # the round budget is spent
+
+
+def reference_decode_degree(plan, answers):
+    """The per-answer degree decoder the sliced one replaced."""
+    p_star = 0
+    for p_idx, sl in enumerate(plan.answer_slices):
+        hit_count = sum(1 for i in sl if answers[i])
+        z = 1.0 - hit_count / plan.ell
+        if z > DEGREE_THRESHOLD:
+            p_star = p_idx + 1
+    return 2.0 * (plan.n - 1) / 2.0**p_star
+
+
+def reference_decode_neighborhood(plan, answers):
+    """The per-answer group-test decoder the sliced one replaced."""
+    hits = np.fromiter((bool(answers[i]) for i in plan.answer_slice), dtype=bool)
+    excluded = plan.membership[~hits].any(axis=0)
+    survivors = ~excluded
+    survivors[plan.u] = False
+    candidates = np.flatnonzero(survivors)
+    if candidates.size > plan.d:
+        return None
+    return candidates.tolist()
+
+
+@st.composite
+def batch_answers(draw, min_size):
+    """A batch answer array as close_batch returns it, bool or int64."""
+    size = draw(st.integers(min_size, min_size + 12))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    values = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+    return np.array(values, dtype=np.int64)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sliced_decoders_match_per_answer_reference(data):
+    n = data.draw(st.integers(2, 12))
+    u = data.draw(st.integers(0, n - 1))
+    ell = data.draw(st.integers(1, 8))
+    p_max = data.draw(st.integers(0, 4))
+    answers = data.draw(batch_answers(ell * p_max))
+    offset = data.draw(st.integers(0, answers.size - ell * p_max))
+    slices = [range(offset + i * ell, offset + (i + 1) * ell) for i in range(p_max)]
+    plan = DegreePlan(u=u, n=n, epsilon=0.05, ell=ell, p_max=p_max, draws=None, answer_slices=slices)
+    assert decode_degree(plan, answers) == reference_decode_degree(plan, answers)
+
+    t = data.draw(st.integers(0, 8))
+    answers = data.draw(batch_answers(t))
+    start = data.draw(st.integers(0, answers.size - t))
+    cells = data.draw(st.lists(st.booleans(), min_size=t * n, max_size=t * n))
+    membership = np.array(cells, dtype=bool).reshape(t, n)
+    membership[:, u] = False
+    d = data.draw(st.floats(1.0, float(n)))
+    plan = GroupTestPlan(u=u, n=n, d=d, alpha=0.05, c_gt=1.0, membership=membership)
+    plan.answer_slice = range(start, start + t)
+    assert decode_neighborhood(plan, answers) == reference_decode_neighborhood(plan, answers)
+
+
+def test_seeded_two_round_fingerprint():
+    # Pinned from the code that kept batch answers in a Python list and
+    # decoded them one answer at a time; the answer array must not move a
+    # query, an edge or a CSV byte.
+    g = gnm_graph(24, 40, np.random.default_rng(3))
+    o = CcOracle(g, mode="batched", max_rounds=2)
+    rep = two_round_reconstruct(o, g.m, np.random.default_rng(4))
+    assert rep.success and rep.edges == g.edges
+    assert o.ledger.total_queries == 1383520
+    assert o.ledger.batch_sizes == [1369200, 14320]
+    digest = hashlib.sha256(repr(sorted(rep.edges)).encode()).hexdigest()
+    assert digest == "0cc60ca0386f511a81053ed3ec45001a8f6fb7149c14bf6df5135bd2326b16c2"
+    cfg = ExperimentConfig(algorithm="two-round", family="gnm", n=24, m=48, trials=2, seed=1)
+    assert reports_to_csv_text(run_experiment(cfg)) == (
+        "algo,family,n,m,trial,seed,queries,rounds,success,restarts,wall_ms\n"
+        "two-round,gnm,24,48,0,1,1384712,2,1,0,0.000\n"
+        "two-round,gnm,24,48,1,1,1385224,2,1,0,0.000\n"
+    )
+
+
+def test_two_round_memory_per_round_one_probe():
+    # A staged probe answer costs one byte. Measured peaks at this size: about
+    # 3.9 bytes per round-one probe with the answer array (the answers staged
+    # so far, one vertex's draws and the intp copy np.take makes of its
+    # largest draw matrix), 9.9 with the 8-byte slots of a Python list.
+    g = gnm_graph(64, 128, np.random.default_rng(1))
+    o = CcOracle(g, mode="batched", max_rounds=2)
+    tracemalloc.start()
+    try:
+        rep = two_round_reconstruct(o, g.m, np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.success
+    round_one_probes = o.ledger.batch_sizes[0] // 2
+    assert peak / round_one_probes < 6.0
