@@ -440,9 +440,10 @@ class CcOracle:
 
         Rows are sample sets for ``u``, given either as an integer id matrix
         (duplicates collapse into the queried set) or a boolean membership
-        matrix of width n. Returns the index range of the staged answers,
-        which are kept as one bool chunk: a byte per probe until
-        :meth:`close_batch`.
+        matrix of width n. Returns the index range of the staged answers.
+        They are kept as one bool chunk, a byte per probe, until
+        :meth:`close_batch` returns them in the batch's array: ``bool``, or
+        ``int64`` once :meth:`submit` has staged a component count.
         """
         self._require_open()
         if not 0 <= u < self._graph.n:
