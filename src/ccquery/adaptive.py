@@ -19,7 +19,6 @@ import numpy as np
 from .graph_core import Edge, edge
 from .oracle import CcOracle
 from .primitives import (
-    ForestBudget,
     binary_search_reconstruct,
     find_high_degree,
     find_neighbors_in_known_subgraph,
@@ -27,6 +26,12 @@ from .primitives import (
     reconstruct_forest,
 )
 from .reporting import ReconstructionReport
+
+# Failure probability of the whp sampling reconstruction in the pair phase.
+PAIR_DELTA = 0.01
+# Degree detection runs each of the L levels at failure probability
+# 1 / (LEVEL_DELTA_FACTOR * L).
+LEVEL_DELTA_FACTOR = 10.0
 
 
 def sample_rate(m: int, d: float) -> float:
@@ -57,7 +62,6 @@ def key_subroutine(
     ell: int,
     known: set[Edge],
     rng: np.random.Generator,
-    budget: ForestBudget = ForestBudget(),
 ) -> set[Edge]:
     """Grow ``known`` by repeatedly reconstructing random induced subgraphs.
 
@@ -79,7 +83,7 @@ def key_subroutine(
         if k > gate or k < 2:
             continue
         sample = rng.choice(arr, size=k, replace=False)
-        found |= reconstruct_forest(oracle, sample.tolist(), found, budget)
+        found |= reconstruct_forest(oracle, sample.tolist(), found)
     return found
 
 
@@ -91,7 +95,6 @@ def reconstruct_bounded_degree_whp(
     delta: float,
     rng: np.random.Generator,
     known: set[Edge] | None = None,
-    budget: ForestBudget = ForestBudget(),
 ) -> set[Edge]:
     """Sampling reconstruction tuned to find all of ``g[vs]`` w.p. >= 1-delta.
 
@@ -104,7 +107,7 @@ def reconstruct_bounded_degree_whp(
         raise ValueError("delta must lie in (0, 1)")
     p = sample_rate(m, d)
     ell = whp_iterations(p, m, delta)
-    return key_subroutine(oracle, vs, m, d, ell, known or set(), rng, budget)
+    return key_subroutine(oracle, vs, m, d, ell, known or set(), rng)
 
 
 def reconstruct_bounded_degree_expected(
@@ -114,7 +117,6 @@ def reconstruct_bounded_degree_expected(
     d: float,
     rng: np.random.Generator,
     known: set[Edge] | None = None,
-    budget: ForestBudget = ForestBudget(),
 ) -> set[Edge]:
     """Exact reconstruction of ``g[vs]`` with good expected query cost.
 
@@ -126,7 +128,7 @@ def reconstruct_bounded_degree_expected(
     order = sorted(set(vs))
     p = sample_rate(m, d)
     ell = expected_iterations(p, len(order), m)
-    found = key_subroutine(oracle, order, m, d, ell, known or set(), rng, budget)
+    found = key_subroutine(oracle, order, m, d, ell, known or set(), rng)
     found |= binary_search_reconstruct(oracle, order, found)
     return found
 
@@ -165,7 +167,11 @@ def build_levels(m: int) -> LevelPartition:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Tuning constants of the adaptive pipeline.
+    """Settings of the adaptive pipeline.
+
+    Its fixed constants are module constants: :data:`PAIR_DELTA` and
+    :data:`LEVEL_DELTA_FACTOR` here, ``ADJACENCY_STEP_QUERIES`` and
+    ``FOREST_DENSITY_RATE`` in :mod:`ccquery.primitives`.
 
     ``small_m_cutoff``: at or below this edge bound (or whenever the first
     degree threshold would drop under the detector's minimum of 10) the
@@ -174,16 +180,8 @@ class AdaptiveConfig:
     explicit failure is reported.
     """
 
-    c_density: float = 16.0
-    c_adj: int = 4
     small_m_cutoff: int = 4096
     restart_cap: int = 20
-    pair_delta: float = 0.01
-    high_degree_delta_factor: float = 10.0
-
-    @property
-    def forest_budget(self) -> ForestBudget:
-        return ForestBudget(self.c_density)
 
 
 def verify_reconstruction(oracle: CcOracle, candidate: set[Edge]) -> bool:
@@ -212,7 +210,6 @@ def _partition_levels(
     oracle: CcOracle,
     m: int,
     levels: LevelPartition,
-    cfg: AdaptiveConfig,
     rng: np.random.Generator,
 ) -> LevelPartition:
     """Fill the level partition by running the degree detector per threshold.
@@ -223,10 +220,10 @@ def _partition_levels(
     probability margin, so nesting costs nothing.
     """
     n = oracle.n
-    delta = 1.0 / (cfg.high_degree_delta_factor * levels.levels)
+    delta = 1.0 / (LEVEL_DELTA_FACTOR * levels.levels)
     h_sets: list[list[int]] = [list(range(n))]
     for t in levels.thresholds:
-        raw = find_high_degree(oracle, m, t, delta, rng, c_adj=cfg.c_adj)
+        raw = find_high_degree(oracle, m, t, delta, rng)
         h_sets.append(sorted(set(raw) & set(h_sets[-1])))
     s_classes = [
         sorted(set(h_sets[i]) - set(h_sets[i + 1])) for i in range(levels.levels)
@@ -245,17 +242,15 @@ def _pair_phase(
     part: LevelPartition,
     m: int,
     known: set[Edge],
-    cfg: AdaptiveConfig,
     rng: np.random.Generator,
 ) -> set[Edge]:
     """Edges within each class and between adjacent classes, via sampling."""
     t = part.thresholds
     s = part.s_classes
-    budget = cfg.forest_budget
     if part.levels == 1:
         if len(s[0]) >= 2:
             known = reconstruct_bounded_degree_whp(
-                oracle, s[0], m, 2.0 * t[0], cfg.pair_delta, rng, known, budget
+                oracle, s[0], m, 2.0 * t[0], PAIR_DELTA, rng, known
             )
         return known
     for i in range(part.levels - 1):
@@ -264,11 +259,9 @@ def _pair_phase(
             continue
         d = 2.0 * t[i + 1]
         if i == 0:
-            known = reconstruct_bounded_degree_whp(
-                oracle, vs, m, d, cfg.pair_delta, rng, known, budget
-            )
+            known = reconstruct_bounded_degree_whp(oracle, vs, m, d, PAIR_DELTA, rng, known)
         else:
-            known = reconstruct_bounded_degree_expected(oracle, vs, m, d, rng, known, budget)
+            known = reconstruct_bounded_degree_expected(oracle, vs, m, d, rng, known)
     return known
 
 
@@ -276,7 +269,6 @@ def _coloring_sweeps(
     oracle: CcOracle,
     part: LevelPartition,
     known: set[Edge],
-    cfg: AdaptiveConfig,
 ) -> set[Edge]:
     """Cross-scale and residual edges, given complete class interiors.
 
@@ -284,7 +276,6 @@ def _coloring_sweeps(
     neighbors there through the coloring routine; residual-internal edges are
     settled by exhaustive pair queries, of which there are only O(m).
     """
-    budget = cfg.forest_budget
     s = part.s_classes
     t = part.thresholds
     class_edges = [
@@ -296,9 +287,7 @@ def _coloring_sweeps(
             continue
         far_vertices = [v for j in range(i + 2, part.levels) for v in s[j]]
         for v in far_vertices:
-            known |= find_neighbors_in_known_subgraph(
-                oracle, v, s[i], class_edges[i], 2.0 * t[i], budget
-            )
+            known |= find_neighbors_in_known_subgraph(oracle, v, s[i], class_edges[i], 2.0 * t[i])
     res = part.residual
     for idx, a in enumerate(res):
         for b in res[idx + 1 :]:
@@ -308,7 +297,7 @@ def _coloring_sweeps(
         for i in range(part.levels):
             if s[i]:
                 known |= find_neighbors_in_known_subgraph(
-                    oracle, v, s[i], class_edges[i], 2.0 * t[i], budget
+                    oracle, v, s[i], class_edges[i], 2.0 * t[i]
                 )
     return known
 
@@ -326,9 +315,9 @@ def _attempt(
         # detector) the asymptotic machinery loses to plain halving search.
         return binary_search_reconstruct(oracle, list(range(n)), set())
     levels = build_levels(m)
-    part = _partition_levels(oracle, m, levels, cfg, rng)
-    known = _pair_phase(oracle, part, m, set(), cfg, rng)
-    known = _coloring_sweeps(oracle, part, known, cfg)
+    part = _partition_levels(oracle, m, levels, rng)
+    known = _pair_phase(oracle, part, m, set(), rng)
+    known = _coloring_sweeps(oracle, part, known)
     return known
 
 

@@ -26,10 +26,10 @@ from .graph_core import (
     edge,
     generate,
 )
-from .oracle import CcOracle
+from .oracle import CcOracle, write_trace_lines
 from .primitives import binary_search_reconstruct
 from .reporting import ReconstructionReport
-from .two_round import GROUP_TEST_RATE, PROFILES, two_round_reconstruct
+from .two_round import PROFILES, two_round_reconstruct
 
 ALGORITHMS = ("adaptive", "two-round", "binary-search", "pairwise")
 
@@ -54,7 +54,6 @@ class ExperimentConfig:
     trace_path: str | None = None
     measure_time: bool = False
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
-    c_gt: float = GROUP_TEST_RATE
 
     def normalized(self) -> "ExperimentConfig":
         fam = _FAMILY_ALIASES.get(self.family, self.family)
@@ -111,7 +110,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> tuple[ReconstructionReport,
     elif cfg.algorithm == "adaptive":
         report = adaptive_reconstruct(oracle, hidden.m, rng, cfg.adaptive)
     else:
-        report = two_round_reconstruct(oracle, hidden.m, rng, cfg.profile, cfg.c_gt)
+        report = two_round_reconstruct(oracle, hidden.m, rng, cfg.profile)
 
     report.success = report.success and report.edges == hidden.edges
     report.total_queries = oracle.ledger.total_queries
@@ -153,8 +152,7 @@ def _write_traces(path: str, traces: list[list | None]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for trial, trace in enumerate(traces):
             fh.write(f"# trial {trial}\n")
-            for round_index, members, answer in trace or ():
-                fh.write(f"{round_index} {len(members)} {answer}\n")
+            write_trace_lines(fh, trace or ())
 
 
 def reports_to_csv_text(reports: list[ReconstructionReport]) -> str:
@@ -413,7 +411,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -41,7 +41,7 @@ the individual queries the formula asks.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -56,6 +56,20 @@ class BatchContractError(RuntimeError):
     """Raised on any violation of the batch/round protocol."""
 
 
+def write_trace_lines(
+    fh: TextIO, trace: Iterable[tuple[int, tuple[int, ...], int]], verbose: bool = False
+) -> None:
+    """Write one line per query: ``round_index set_size answer``.
+
+    With ``verbose`` the sorted members are appended to each line.
+    """
+    for round_index, members, answer in trace:
+        line = f"{round_index} {len(members)} {answer}"
+        if verbose:
+            line += " " + " ".join(str(v) for v in members)
+        fh.write(line + "\n")
+
+
 class QueryLedger:
     """Append-only accounting of all oracle interactions.
 
@@ -68,7 +82,6 @@ class QueryLedger:
     def __init__(self, mode: str, max_rounds: int | None, record_trace: bool):
         self.mode = mode
         self.max_rounds = max_rounds
-        self.record_trace = record_trace
         self.total_queries = 0
         self.batch_sizes: list[int] = []
         self.trace: list[tuple[int, tuple[int, ...], int]] | None = [] if record_trace else None
@@ -87,18 +100,11 @@ class QueryLedger:
         self.total_queries += 1
 
     def dump_trace(self, path: str, verbose: bool = False) -> None:
-        """Write one line per query: ``round_index set_size answer``.
-
-        With ``verbose`` the sorted members are appended to each line.
-        """
+        """Write the trace to ``path`` in the format of :func:`write_trace_lines`."""
         if self.trace is None:
             raise ValueError("trace recording was not enabled for this oracle")
         with open(path, "w", encoding="utf-8") as fh:
-            for round_index, members, answer in self.trace:
-                line = f"{round_index} {len(members)} {answer}"
-                if verbose:
-                    line += " " + " ".join(str(v) for v in members)
-                fh.write(line + "\n")
+            write_trace_lines(fh, self.trace, verbose)
 
 
 class _CcEvaluator:
@@ -126,7 +132,6 @@ class _CcEvaluator:
         # at roughly 75 interpreter ops of overhead per masked query.
         avg_deg = (2 * g.m / g.n) if g.n else 0.0
         self._small_cutoff = max(8, int((75 + g.m / 100) / max(1.0, avg_deg)))
-        self._nbr_rows: dict[int, np.ndarray] = {}
 
     def cc(self, members: list[int]) -> int:
         k = len(members)
@@ -181,24 +186,14 @@ class _CcEvaluator:
                 comps -= 1
         return comps
 
-    def neighbor_row(self, u: int) -> np.ndarray:
-        row = self._nbr_rows.get(u)
-        if row is None:
-            row = np.zeros(self.n, dtype=bool)
-            if self.adj[u]:
-                row[list(self.adj[u])] = True
-            self._nbr_rows[u] = row
-            if len(self._nbr_rows) > 64:
-                self._nbr_rows.pop(next(iter(self._nbr_rows)))
-        return row
-
     def hits_neighbor_rows(self, u: int, rows: np.ndarray) -> np.ndarray:
         """Per-row test of whether the row's vertices touch ``N(u)``.
 
         ``rows`` is either an integer array of vertex ids (one sample set per
         row, duplicates allowed) or a boolean membership matrix of width n.
         """
-        row = self.neighbor_row(u)
+        row = np.zeros(self.n, dtype=bool)
+        row[list(self.adj[u])] = True
         if rows.dtype == np.bool_:
             return (rows & row).any(axis=1)
         return np.take(row, rows).any(axis=1)
@@ -390,12 +385,13 @@ class CcOracle:
     def _reset_batch(self) -> None:
         # Answers of the open batch: numpy chunks in staging order, then the
         # scalar answers staged since the last chunk, buffered so that single
-        # submits allocate no array each.
+        # submits allocate no array each. Only the open batch charges queries,
+        # so its size is the ledger's growth since it opened.
         self._chunks: list[np.ndarray] = []
         self._scalars: list[int | bool] = []
         self._staged = 0
         self._has_counts = False
-        self._pending_size = 0
+        self._batch_start = self.ledger.total_queries
 
     def _require_open(self) -> None:
         if not self._batch_open:
@@ -420,7 +416,6 @@ class CcOracle:
         answer = self._eval.cc(members)
         self.ledger._record(members, answer)
         self._has_counts = True
-        self._pending_size += 1
         return self._stage(answer)
 
     def submit_or_probe(self, u: int, s: Iterable[int]) -> int:
@@ -430,10 +425,7 @@ class CcOracle:
         exactly as by :meth:`probe`. An empty ``s`` is answered False for free.
         """
         self._require_open()
-        before = self.ledger.total_queries
-        answer = self._probe(u, s)
-        self._pending_size += self.ledger.total_queries - before
-        return self._stage(answer)
+        return self._stage(self._probe(u, s))
 
     def submit_or_probes(self, u: int, rows: np.ndarray) -> range:
         """Stage one neighbor probe per row of ``rows``; two queries each.
@@ -464,7 +456,7 @@ class CcOracle:
         else:
             nonempty = count if rows.shape[1] else 0
         self._charge(2 * nonempty)
-        if self.ledger.record_trace:
+        if self.ledger.trace is not None:
             answers = np.zeros(count, dtype=bool)
             for i in range(count):
                 members = set(
@@ -479,7 +471,6 @@ class CcOracle:
         self._chunks.append(answers)
         start = self._staged
         self._staged += count
-        self._pending_size += 2 * nonempty
         return range(start, start + count)
 
     def close_batch(self) -> np.ndarray:
@@ -500,7 +491,7 @@ class CcOracle:
             answers = chunks[0]  # already of the batch's dtype
         else:
             answers = np.concatenate(chunks, dtype=np.int64 if self._has_counts else np.bool_)
-        self.ledger.batch_sizes.append(self._pending_size)
+        self.ledger.batch_sizes.append(self.ledger.total_queries - self._batch_start)
         self._batch_open = False
         self._reset_batch()
         return answers

@@ -9,7 +9,6 @@ supplied known set; budget exhaustion truncates output instead of failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -19,6 +18,13 @@ from .oracle import CcOracle, QueryBudgetExceeded
 
 KnownEdges = set  # set[Edge]; kept as a plain set of normalized pairs
 _EMPTY: frozenset[int] = frozenset()
+
+# Queries per recursion step of find_high_degree's adjacency search, which
+# fixes that search's per-round halting cap.
+ADJACENCY_STEP_QUERIES = 4
+# Constant of forest_query_cap, calibrated once against the bundled
+# bipartition reconstructor.
+FOREST_DENSITY_RATE = 16.0
 
 
 def has_neighbor(oracle: CcOracle, u: int, s: Iterable[int]) -> bool:
@@ -82,22 +88,21 @@ def find_high_degree(
     t: float,
     delta: float,
     rng: np.random.Generator,
-    c_adj: int = 4,
 ) -> list[int]:
     """Vertices whose degree is around ``t`` or larger, by repeated sampling.
 
-    Each round samples vertices at rate ``1/t`` and runs a budget-capped
-    :func:`find_adjacent_to_set`; a vertex is returned when it was adjacent to
-    the sample in at least half the rounds. With probability ``1 - delta``
-    every vertex of degree at least ``2t`` is returned and none of degree at
-    most ``t/2`` is; degree-0 vertices never appear.
+    Each round samples vertices at rate ``1/t`` and runs
+    :func:`find_adjacent_to_set`, halted after
+    ``ADJACENCY_STEP_QUERIES * ceil(20m/t) * ceil(log2 n)`` queries; a vertex
+    is returned when it was adjacent to the sample in at least half the rounds.
+    With probability ``1 - delta`` every vertex of degree at least ``2t`` is
+    returned and none of degree at most ``t/2`` is; degree-0 vertices never
+    appear.
 
     Args:
         m: upper bound on the hidden edge count.
         t: degree threshold, at least 10.
         delta: failure probability, in (0, 1).
-        c_adj: per-recursion-step query constant of the adjacency search,
-            fixing the per-round halting cap at ``c_adj * ceil(20m/t) * ceil(log2 n)``.
     """
     if t < 10:
         raise ValueError("degree threshold must be at least 10")
@@ -107,7 +112,9 @@ def find_high_degree(
     if m <= 0 or t >= n:
         return []
     rounds = high_degree_iterations(m, delta)
-    per_round_cap = c_adj * math.ceil(20.0 * m / t) * math.ceil(math.log2(max(2, n)))
+    per_round_cap = (
+        ADJACENCY_STEP_QUERIES * math.ceil(20.0 * m / t) * math.ceil(math.log2(max(2, n)))
+    )
     votes = np.zeros(n, dtype=np.int64)
     rate = 1.0 / t
     for _ in range(rounds):
@@ -120,26 +127,16 @@ def find_high_degree(
     return np.flatnonzero(votes * 2 >= rounds).tolist()
 
 
-@dataclass(frozen=True)
-class ForestBudget:
-    """Halting knob for forest reconstruction via simulated edge-count queries.
+def forest_query_cap(vs_size: int, m_u: int) -> int:
+    """Query cap of :func:`reconstruct_forest` on ``vs_size`` vertices.
 
-    ``c_density`` is the constant of the budget
-    ``ceil(c_density * max(2, m_u) * log2(|vs|) / log2(max(2, m_u)))``,
-    calibrated once against the bundled bipartition reconstructor.
+    ``ceil(FOREST_DENSITY_RATE * max(2, m_u) * log2(vs_size) / log2(max(2, m_u)))``
+    for an estimate of ``m_u`` unknown edges; 0 below two vertices.
     """
-
-    c_density: float = 16.0
-
-    def __post_init__(self):
-        if self.c_density <= 0:
-            raise ValueError("c_density must be positive")
-
-    def queries(self, vs_size: int, m_u: int) -> int:
-        if vs_size < 2:
-            return 0
-        mu = max(2, m_u)
-        return math.ceil(self.c_density * mu * math.log2(vs_size) / math.log2(mu))
+    if vs_size < 2:
+        return 0
+    mu = max(2, m_u)
+    return math.ceil(FOREST_DENSITY_RATE * mu * math.log2(vs_size) / math.log2(mu))
 
 
 class _DensitySearch:
@@ -266,12 +263,11 @@ def reconstruct_forest(
     oracle: CcOracle,
     vs: Iterable[int],
     known: KnownEdges,
-    budget: ForestBudget = ForestBudget(),
 ) -> set[Edge]:
     """Unknown edges of ``g[vs]``, exact whenever ``g[vs]`` is a forest.
 
     Edge counts are simulated through component counts (``|U| - cc(U)``, exact
-    on forests), the reconstruction halts at the budget derived from the
+    on forests), the reconstruction halts at :func:`forest_query_cap` of the
     initial unknown-edge estimate, and every candidate is verified with one
     pair query before being output. On non-forests the output is therefore
     still a subset of the true unknown edges, merely possibly incomplete.
@@ -285,7 +281,7 @@ def reconstruct_forest(
     m_hat = len(order) - cc_all - len(known_vs)
     if m_hat <= 0:
         return set()
-    cap = budget.queries(len(order), m_hat)
+    cap = forest_query_cap(len(order), m_hat)
     calls = 0
 
     def density_fn(block: list[int]) -> int:
@@ -399,7 +395,6 @@ def find_neighbors_in_known_subgraph(
     u: Iterable[int],
     edges_u: Iterable[Edge],
     d: float,
-    budget: ForestBudget = ForestBudget(),
 ) -> set[Edge]:
     """All edges between ``v`` and ``u``, given the edges inside ``u``.
 
@@ -413,5 +408,5 @@ def find_neighbors_in_known_subgraph(
         raise ValueError(f"vertex {v} must not belong to u")
     found: set[Edge] = set()
     for cls in greedy_color_classes(members, edges_u, d):
-        found |= reconstruct_forest(oracle, cls + [v], set(), budget)
+        found |= reconstruct_forest(oracle, cls + [v], set())
     return found

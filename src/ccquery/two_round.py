@@ -58,7 +58,6 @@ class DegreePlan:
 
     u: int
     n: int
-    epsilon: float
     ell: int
     p_max: int
     draws: list[np.ndarray] | None
@@ -82,7 +81,7 @@ def plan_degree(u: int, n: int, epsilon: float, rng: np.random.Generator) -> Deg
         x = rng.integers(0, n - 1, size=(ell, 2**p), dtype=np.int32)
         x += x >= u  # shift to skip u itself
         draws.append(x)
-    return DegreePlan(u=u, n=n, epsilon=epsilon, ell=ell, p_max=p_max, draws=draws)
+    return DegreePlan(u=u, n=n, ell=ell, p_max=p_max, draws=draws)
 
 
 def submit_degree_plan(oracle: CcOracle, plan: DegreePlan) -> None:
@@ -121,9 +120,9 @@ def estimate_degree(
     return decode_degree(plan, oracle.close_batch())
 
 
-def group_test_query_count(d: float, n: int, alpha: float, c_gt: float = GROUP_TEST_RATE) -> int:
-    """Number of random test sets: ``ceil(c_gt * d * ln(n/alpha))``."""
-    return math.ceil(c_gt * d * math.log(n / alpha))
+def group_test_query_count(d: float, n: int, alpha: float) -> int:
+    """Number of random test sets: ``ceil(GROUP_TEST_RATE * d * ln(n/alpha))``."""
+    return math.ceil(GROUP_TEST_RATE * d * math.log(n / alpha))
 
 
 @dataclass
@@ -138,8 +137,6 @@ class GroupTestPlan:
     u: int
     n: int
     d: float
-    alpha: float
-    c_gt: float
     membership: np.ndarray
     answer_slice: range | None = None
 
@@ -154,17 +151,16 @@ def plan_neighborhood(
     d: float,
     alpha: float,
     rng: np.random.Generator,
-    c_gt: float = GROUP_TEST_RATE,
 ) -> GroupTestPlan:
     """Draw the group-testing plan for ``u`` with support bound ``d``."""
     if d < 1:
         raise ValueError("support bound must be at least 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    t = group_test_query_count(d, n, alpha, c_gt)
+    t = group_test_query_count(d, n, alpha)
     membership = rng.random((t, n)) < 1.0 / (d + 1.0)
     membership[:, u] = False
-    return GroupTestPlan(u=u, n=n, d=d, alpha=alpha, c_gt=c_gt, membership=membership)
+    return GroupTestPlan(u=u, n=n, d=d, membership=membership)
 
 
 def submit_neighborhood_plan(oracle: CcOracle, plan: GroupTestPlan) -> None:
@@ -212,7 +208,6 @@ def two_round_reconstruct(
     m: int,
     rng: np.random.Generator,
     profile: str = "practical",
-    c_gt: float = GROUP_TEST_RATE,
     stats_out: dict | None = None,
 ) -> ReconstructionReport:
     """Reconstruct the hidden graph in exactly two batched rounds.
@@ -266,7 +261,7 @@ def two_round_reconstruct(
     oracle.open_batch()
     gt_plans = []
     for u in range(n):
-        plan = plan_neighborhood(u, n, estimates[u], alpha, rng, c_gt)
+        plan = plan_neighborhood(u, n, estimates[u], alpha, rng)
         submit_neighborhood_plan(oracle, plan)
         gt_plans.append(plan)
     answers = oracle.close_batch()

@@ -2,22 +2,28 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ccquery import (
     AdaptiveLbAdapter,
+    CcOracle,
     ExperimentConfig,
+    InstanceSpec,
     ReconstructionReport,
+    adaptive_reconstruct,
     cc_count,
     distinguishing_pairs,
     emit_csv,
+    generate,
     materialize_lb_instance,
     parse_csv_text,
     run_experiment,
     two_path_pair,
 )
-from ccquery import lab
+from ccquery import lab, two_round
 from ccquery.lab import main, reports_to_csv_text
 
 
@@ -56,11 +62,12 @@ def test_two_path_family_alias_runs():
     assert all(r.success and r.m == g1.m for r in reports)
 
 
-def test_trial_failure_is_data_not_error():
+def test_trial_failure_is_data_not_error(monkeypatch):
     # A group-testing rate of 0.01 stages one test per vertex, too few to
     # decode any neighborhood, so every trial fails, but the experiment itself
     # completes.
-    reports = run_experiment(small_cfg(algorithm="two-round", trials=2, c_gt=0.01))
+    monkeypatch.setattr(two_round, "GROUP_TEST_RATE", 0.01)
+    reports = run_experiment(small_cfg(algorithm="two-round", trials=2))
     assert len(reports) == 2
     assert not any(r.success for r in reports)
     assert all(r.rounds == 2 for r in reports)
@@ -104,6 +111,25 @@ def test_trace_file_written(tmp_path):
     assert lines.count("# trial 0") == 1 and lines.count("# trial 1") == 1
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data and all(len(ln.split()) == 3 for ln in data)
+
+
+def test_trace_file_blocks_match_dump_trace(tmp_path):
+    # Each trial's block is what the trial's own ledger dumps, rebuilt here
+    # from the experiment seed the way run_experiment splits it.
+    cfg = small_cfg(algorithm="adaptive", n=12, m=20, trials=3, seed=5)
+    path = tmp_path / "trace.txt"
+    run_experiment(replace(cfg, trace_path=str(path)))
+    blocks = path.read_text().split("# trial ")[1:]
+    assert len(blocks) == cfg.trials
+    for trial, trial_ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        inst_ss, algo_ss = trial_ss.spawn(2)
+        spec = InstanceSpec(cfg.family, cfg.n, cfg.m, seed=int(inst_ss.generate_state(1)[0]))
+        hidden = generate(spec)
+        oracle = CcOracle(hidden, record_trace=True)
+        adaptive_reconstruct(oracle, hidden.m, np.random.default_rng(algo_ss), cfg.adaptive)
+        single = tmp_path / f"trial{trial}.txt"
+        oracle.ledger.dump_trace(str(single))
+        assert blocks[trial] == f"{trial}\n" + single.read_text()
 
 
 # -- lower-bound harnesses ------------------------------------------------------
@@ -246,8 +272,10 @@ def test_cli_lbcheck_both_variants(capsys):
 
 def test_console_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "ccquery.lab", "lbcheck", "--which", "nonadaptive", "--n", "8"],
+        [sys.executable, "-m", "ccquery", "lbcheck", "--which", "nonadaptive", "--n", "8"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert "bound holds" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ccquery import (
     CcOracle,
-    ForestBudget,
     Graph,
     binary_search_reconstruct,
     density,
@@ -27,6 +26,7 @@ from ccquery import (
     reconstruct_forest,
     star_graph,
 )
+from ccquery.primitives import forest_query_cap
 from conftest import (
     all_graphs,
     brute_adjacent_to_set,
@@ -216,7 +216,7 @@ def test_reconstruct_forest_known_subset(rng):
     assert got == f.edges - known
     # never returns a known edge or a non-edge, and respects the query budget
     m_u = 40
-    cap = ForestBudget().queries(100, m_u)
+    cap = forest_query_cap(100, m_u)
     assert o.ledger.total_queries <= 1 + cap + m_u + 1
 
 
@@ -225,7 +225,7 @@ def test_reconstruct_forest_on_non_forest_is_sound():
     o = CcOracle(triangle)
     got = reconstruct_forest(o, range(3), set())
     assert got <= triangle.edges
-    cap = ForestBudget().queries(3, 2)
+    cap = forest_query_cap(3, 2)
     assert o.ledger.total_queries <= 1 + cap + 3 + 1
     for seed in range(10):
         g = random_graph(np.random.default_rng(seed), 12)
@@ -246,12 +246,9 @@ def test_reconstruct_forest_degenerate_inputs():
 
 
 def test_forest_budget_formula():
-    b = ForestBudget()
-    assert b.queries(1, 5) == 0
-    assert b.queries(100, 50) == math.ceil(16 * 50 * math.log2(100) / math.log2(50))
-    assert b.queries(64, 0) == math.ceil(16 * 2 * 6 / 1)
-    with pytest.raises(ValueError):
-        ForestBudget(0.0)
+    assert forest_query_cap(1, 5) == 0
+    assert forest_query_cap(100, 50) == math.ceil(16 * 50 * math.log2(100) / math.log2(50))
+    assert forest_query_cap(64, 0) == math.ceil(16 * 2 * 6 / 1)
 
 
 # -- binary search reconstruction ----------------------------------------------

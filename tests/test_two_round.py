@@ -30,6 +30,7 @@ from ccquery import (
     submit_neighborhood_plan,
     two_round_reconstruct,
 )
+from ccquery import two_round
 from ccquery.lab import reports_to_csv_text, run_experiment
 from ccquery.two_round import DEGREE_THRESHOLD
 from conftest import all_graphs, brute_has_neighbor, random_graph
@@ -149,10 +150,12 @@ def test_or_query_empty_set_is_free(rng):
     assert o.ledger.total_queries == 0
 
 
-def test_group_test_count_formula():
-    assert group_test_query_count(4, 128, 0.01, 8.0) == math.ceil(
-        8.0 * 4 * math.log(128 / 0.01)
+def test_group_test_count_formula(monkeypatch):
+    assert group_test_query_count(4, 128, 0.01) == math.ceil(
+        3.0 * math.e * 4 * math.log(128 / 0.01)
     )
+    monkeypatch.setattr(two_round, "GROUP_TEST_RATE", 8.0)  # read at each call
+    assert group_test_query_count(4, 128, 0.01) == math.ceil(8.0 * 4 * math.log(128 / 0.01))
 
 
 def test_group_test_no_false_negatives_exhaustive():
@@ -321,7 +324,7 @@ def test_sliced_decoders_match_per_answer_reference(data):
     answers = data.draw(batch_answers(ell * p_max))
     offset = data.draw(st.integers(0, answers.size - ell * p_max))
     slices = [range(offset + i * ell, offset + (i + 1) * ell) for i in range(p_max)]
-    plan = DegreePlan(u=u, n=n, epsilon=0.05, ell=ell, p_max=p_max, draws=None, answer_slices=slices)
+    plan = DegreePlan(u=u, n=n, ell=ell, p_max=p_max, draws=None, answer_slices=slices)
     assert decode_degree(plan, answers) == reference_decode_degree(plan, answers)
 
     t = data.draw(st.integers(0, 8))
@@ -331,7 +334,7 @@ def test_sliced_decoders_match_per_answer_reference(data):
     membership = np.array(cells, dtype=bool).reshape(t, n)
     membership[:, u] = False
     d = data.draw(st.floats(1.0, float(n)))
-    plan = GroupTestPlan(u=u, n=n, d=d, alpha=0.05, c_gt=1.0, membership=membership)
+    plan = GroupTestPlan(u=u, n=n, d=d, membership=membership)
     plan.answer_slice = range(start, start + t)
     assert decode_neighborhood(plan, answers) == reference_decode_neighborhood(plan, answers)
 
