@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -54,6 +55,40 @@ def expected_iterations(p: float, n_sub: int, m: int) -> int:
     return math.ceil(2.0 * math.log(ratio) / (p * p))
 
 
+def _kept_sizes(rng: np.random.Generator, size: int, p: float, ell: int) -> Iterator[int]:
+    """Sizes of the kept samples among ``ell`` rounds, in round order.
+
+    Each round draws ``rng.binomial(size, p)``, and a sample of two to
+    ``100 p size`` vertices is kept. At each yield ``rng`` is where one scalar
+    draw per round would leave it, so the caller may draw from ``rng`` before
+    resuming. The sizes are drawn in calls of the mean gap between samples of
+    two or more vertices, ``1 / P(size >= 2)`` rounds; on finding a kept round
+    the generator is rewound and the sizes are redrawn up to that round.
+    """
+    gate = 100.0 * p * size
+    two_or_more = 1.0 - (1.0 - p) ** size - size * p * (1.0 - p) ** (size - 1)
+    chunk = int(1.0 / two_or_more) if two_or_more > 0 else ell
+    left = ell
+    while left > 0:
+        count = min(chunk, left)
+        # A call of one size never needs a rewind, so its state is not saved.
+        state = rng.bit_generator.state if count > 1 else None
+        sizes = rng.binomial(size, p, size=count)
+        # Byte j of ``flags`` is 1 where round j drew two or more vertices.
+        flags = (sizes >= 2).tobytes()
+        j = flags.find(1)
+        while j >= 0 and sizes[j] > gate:
+            j = flags.find(1, j + 1)
+        if j < 0:
+            left -= count
+            continue
+        if j + 1 < count:
+            rng.bit_generator.state = state
+            rng.binomial(size, p, size=j + 1)
+        left -= j + 1
+        yield int(sizes[j])
+
+
 def key_subroutine(
     oracle: CcOracle,
     vs: list[int],
@@ -66,22 +101,23 @@ def key_subroutine(
     """Grow ``known`` by repeatedly reconstructing random induced subgraphs.
 
     Each of the ``ell`` rounds samples ``vs`` at rate ``1/(10 m^(1/3) d^(1/3))``,
-    skips oversized samples (``|S| > 100 p |vs|``), and runs forest
-    reconstruction on the sample with the known edges threaded through. Only
-    verified true edges are ever added, so the result is sound regardless of
-    how unlucky the sampling is.
+    skips samples of fewer than two or more than ``100 p |vs|`` vertices, and
+    runs forest reconstruction on the sample with the known edges threaded
+    through. Only verified true edges are ever added, so the result is sound
+    regardless of how unlucky the sampling is.
+
+    A round draws its sample size with ``rng.binomial`` and, unless skipped,
+    its sample with ``rng.choice``; ``rng`` ends in the state one scalar size
+    draw per round leaves it in, though the sizes of skipped rounds are drawn
+    many to a call.
     """
     order = sorted(set(vs))
     found = set(known)
     if len(order) < 2 or ell <= 0:
         return found
     p = sample_rate(m, d)
-    gate = 100.0 * p * len(order)
     arr = np.asarray(order, dtype=np.int64)
-    for _ in range(ell):
-        k = int(rng.binomial(len(order), p))
-        if k > gate or k < 2:
-            continue
+    for k in _kept_sizes(rng, len(order), p, ell):
         sample = rng.choice(arr, size=k, replace=False)
         found |= reconstruct_forest(oracle, sample.tolist(), found)
     return found

@@ -56,6 +56,10 @@ class BatchContractError(RuntimeError):
     """Raised on any violation of the batch/round protocol."""
 
 
+class _Halt(Exception):
+    """Stops an adjacency search whose query allowance is used up."""
+
+
 def write_trace_lines(
     fh: TextIO, trace: Iterable[tuple[int, tuple[int, ...], int]], verbose: bool = False
 ) -> None:
@@ -250,6 +254,29 @@ class CcOracle:
         # checks a set in one pass, where min() and max() take two.
         return frozenset(range(self._graph.n))
 
+    @functools.cached_property
+    def _halving_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, parent)`` of the halving blocks ``[lo, hi)`` in preorder.
+
+        The blocks are those :meth:`adjacent` recurses over: ``range(n)`` and,
+        for every block of two or more vertices, its first ``ceil(len/2)`` and
+        its last ``floor(len/2)`` vertices. The root's parent is -1.
+        """
+        lo: list[int] = []
+        hi: list[int] = []
+        parent: list[int] = []
+        stack = [(0, self._graph.n, -1)]
+        while stack:
+            a, b, up = stack.pop()
+            lo.append(a)
+            hi.append(b)
+            parent.append(up)
+            if b - a > 1:
+                mid = a + (b - a + 1) // 2
+                stack.append((mid, b, len(lo) - 1))
+                stack.append((a, mid, len(lo) - 1))
+        return np.array(lo), np.array(hi), np.array(parent)
+
     def _check_range(self, members: Iterable[int]) -> None:
         if not self._vertices.issuperset(members):
             raise ValueError(f"query set out of range for n={self._graph.n}")
@@ -339,6 +366,103 @@ class CcOracle:
         cc_union = self._eval.cc(list(union))
         self.ledger._record(union, cc_union)
         return cc_union != total
+
+    def adjacent(self, s: Iterable[int], max_queries: int | None = None) -> list[int] | None:
+        """All vertices with a neighbor in ``s``, ascending (adaptive mode only).
+
+        Recursive halving: starting from ``range(n)``, a block is tested with
+        :meth:`cross` against ``s``, and a block with a crossing edge is split
+        into its first ``ceil(len/2)`` and last ``floor(len/2)`` vertices, the
+        first half searched first. Vertices of ``s`` are reported when they
+        have a neighbor in ``s``. The cost is the sum of the ``cross`` charges
+        of the tested blocks, O(sum of degrees over s * log n) queries. With
+        ``max_queries`` the search halts before the first test at which that
+        many queries have been charged since it began, and returns None. A
+        budget refusal is atomic per test: the tests before it stay charged.
+        """
+        s_set = set(s)
+        ledger = self.ledger
+        stop_at = None if max_queries is None else ledger.total_queries + max_queries
+        if ledger.trace is not None:
+            out: list[int] = []
+            try:
+                self._adjacent_in_block(s_set, list(range(self._graph.n)), out, stop_at)
+            except _Halt:
+                return None
+            return out
+        if stop_at is not None and ledger.total_queries >= stop_at:
+            return None
+        # The root test, validated as cross validates it.
+        self._require_adaptive()
+        self._check_range(s_set)
+        if not s_set:
+            return []
+        hits, charges = self._halving_charges(s_set)
+        after = ledger.total_queries + np.cumsum(charges)
+        before = after - charges
+        tests = len(charges)
+        halt = tests if stop_at is None else int(np.searchsorted(before, stop_at))
+        refused = tests if self.budget is None else int(
+            np.searchsorted(after, self.budget, side="right")
+        )
+        if refused < halt:
+            ledger.total_queries = int(before[refused])
+            self._charge(int(charges[refused]))
+        if halt < tests:
+            ledger.total_queries = int(before[halt])
+            return None
+        ledger.total_queries = int(after[-1])
+        return np.flatnonzero(hits).tolist()
+
+    def _halving_charges(self, s_set: set[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``N(s)`` as a bool vector, and the :meth:`cross` charge of each
+        block :meth:`adjacent` tests, in test order; ``s`` is non-empty."""
+        n = self._graph.n
+        in_s = np.zeros(n, dtype=bool)
+        in_s[np.fromiter(s_set, dtype=np.int64, count=len(s_set))] = True
+        eu, ev = self._eval._eu, self._eval._ev
+        u_in, v_in = in_s[eu], in_s[ev]
+        hits = np.zeros(n, dtype=bool)
+        hits[ev[u_in]] = True
+        hits[eu[v_in]] = True
+        lo, hi, parent = self._halving_blocks
+        # A block holds an edge into s iff it holds a vertex of N(s); the
+        # recursion tests the root and the two halves of every block that does.
+        hit_cs = np.concatenate(([0], np.cumsum(hits)))
+        split = hit_cs[hi] > hit_cs[lo]
+        tested = split[parent]
+        tested[0] = True
+        lo, hi = lo[tested], hi[tested]
+        # The charge of cross(s, U) for each tested block U = [lo, hi), W = s & U.
+        s_cs = np.concatenate(([0], np.cumsum(in_s)))
+        w = s_cs[hi] - s_cs[lo]
+        # W is dependent iff U holds both ends a < b of an edge inside s: the
+        # least b over inner edges with a >= lo is below hi. The edge arrays
+        # are sorted, so the inner edges come in ascending a.
+        inner = u_in & v_in
+        a, b = eu[inner], ev[inner]
+        least_b = np.append(np.minimum.accumulate(b[::-1])[::-1], n)
+        dependent = least_b[np.searchsorted(a, lo)] < hi
+        s_rest = w < len(s_set)
+        u_rest = hi - lo > w
+        charges = np.where(
+            dependent | ~(s_rest | u_rest), 1, (w > 0).astype(np.int64) + s_rest + u_rest + 1
+        )
+        return hits, charges
+
+    def _adjacent_in_block(
+        self, s_set: set[int], block: list[int], out: list[int], stop_at: int | None
+    ) -> None:
+        if stop_at is not None and self.ledger.total_queries >= stop_at:
+            raise _Halt
+        if not self.cross(s_set, block):
+            return
+        if len(block) == 1:
+            out.append(block[0])
+            return
+        mid = (len(block) + 1) // 2
+        self._adjacent_in_block(s_set, block[:mid], out, stop_at)
+        self._adjacent_in_block(s_set, block[mid:], out, stop_at)
 
     def _probe(self, u: int, s: Iterable[int]) -> bool:
         """Validate, charge and answer one neighbor probe in either mode."""

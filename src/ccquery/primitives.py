@@ -37,44 +37,13 @@ def has_cross_edge(oracle: CcOracle, s: Iterable[int], u: Iterable[int]) -> bool
     return oracle.cross(s, u)
 
 
-class _Halt(Exception):
-    """Stops an adjacency search whose query allowance is used up."""
-
-
-def _adjacent_in_block(
-    oracle: CcOracle, s_set: set[int], block: Sequence[int], out: list[int], stop_at: int | None
-) -> None:
-    if stop_at is not None and oracle.ledger.total_queries >= stop_at:
-        raise _Halt
-    if not has_cross_edge(oracle, s_set, block):
-        return
-    if len(block) == 1:
-        out.append(block[0])
-        return
-    mid = (len(block) + 1) // 2
-    _adjacent_in_block(oracle, s_set, block[:mid], out, stop_at)
-    _adjacent_in_block(oracle, s_set, block[mid:], out, stop_at)
-
-
 def find_adjacent_to_set(
     oracle: CcOracle,
     s: Iterable[int],
     max_queries: int | None = None,
 ) -> list[int] | None:
-    """All vertices with at least one neighbor in ``s``, by recursive halving.
-
-    Starts from the full vertex set and prunes halves with no edge into ``s``;
-    vertices of ``s`` itself are reported when they have a neighbor in ``s``.
-    Costs O(sum of degrees over s * log n) queries. When ``max_queries`` is
-    given and exhausted the search halts and returns None.
-    """
-    stop_at = None if max_queries is None else oracle.ledger.total_queries + max_queries
-    out: list[int] = []
-    try:
-        _adjacent_in_block(oracle, set(s), list(range(oracle.n)), out, stop_at)
-    except _Halt:
-        return None
-    return out
+    """All vertices with a neighbor in ``s``, ascending; see :meth:`CcOracle.adjacent`."""
+    return oracle.adjacent(s, max_queries)
 
 
 def high_degree_iterations(m: int, delta: float) -> int:

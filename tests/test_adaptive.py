@@ -19,6 +19,7 @@ from ccquery import (
     key_subroutine,
     reconstruct_bounded_degree_expected,
     reconstruct_bounded_degree_whp,
+    reconstruct_forest,
     sample_rate,
     star_graph,
     verify_reconstruction,
@@ -101,6 +102,65 @@ def test_key_subroutine_soundness(rng):
         o = CcOracle(g)
         found = key_subroutine(o, list(range(14)), max(1, g.m), 13, 50, set(), rng)
         assert found <= g.edges
+
+
+def reference_key_subroutine(oracle, vs, m, d, ell, known, rng):
+    """key_subroutine as it drew one sample size per round, and the number of
+    rounds whose size exceeded the gate."""
+    order = sorted(set(vs))
+    found = set(known)
+    gated = 0
+    if len(order) < 2 or ell <= 0:
+        return found, gated
+    p = sample_rate(m, d)
+    gate = 100.0 * p * len(order)
+    arr = np.asarray(order, dtype=np.int64)
+    for _ in range(ell):
+        k = int(rng.binomial(len(order), p))
+        gated += k > gate
+        if k > gate or k < 2:
+            continue
+        sample = rng.choice(arr, size=k, replace=False)
+        found |= reconstruct_forest(oracle, sample.tolist(), found)
+    return found, gated
+
+
+@pytest.mark.parametrize(
+    "n, vs, m, d, ell, outcome",
+    [
+        # p |vs| = 1.47: a sample of two or more every 2.3 rounds, sizes drawn
+        # two a call.
+        pytest.param(40, range(40), 20, 1, 300, "grows", id="kept-rounds"),
+        # p |vs| = 0.35: one every 20.9 rounds, sizes drawn 20 a call.
+        pytest.param(116, range(116), 1000, 37, 30000, "grows", id="short-bulk-calls"),
+        # p |vs| = 0.11: one every 190 rounds.
+        pytest.param(24, range(24), 1000, 10, 20000, "grows", id="rare-kept-rounds"),
+        # p |vs| = 0.0186 puts the gate at 1.86, so every size of two or more
+        # is skipped by the gate.
+        pytest.param(4, range(4), 1000, 10, 60000, "gated", id="gate-skips"),
+        # p = 0.1 keeps nearly every round; sizes drawn one a call.
+        pytest.param(400, range(400), 1, 1, 3, "grows", id="large-sizes"),
+        pytest.param(6, [3], 20, 1, 100, "no-draws", id="one-vertex"),
+        pytest.param(6, [], 20, 1, 100, "no-draws", id="no-vertex"),
+    ],
+)
+def test_chunked_key_subroutine_matches_scalar_reference(n, vs, m, d, ell, outcome):
+    g = matching(n)
+    known = {(0, 1)}
+    runs = []
+    for fn in (key_subroutine, reference_key_subroutine):
+        o = CcOracle(g)
+        rng = np.random.default_rng(9)
+        found = fn(o, list(vs), m, d, ell, known, rng)
+        runs.append((found, o.ledger.total_queries, rng.bit_generator.state))
+    (found, queries, state), ((ref_found, gated), ref_queries, ref_state) = runs
+    assert (found, queries, state) == (ref_found, ref_queries, ref_state)
+    if outcome == "grows":
+        assert queries > 0 and found > known
+    elif outcome == "gated":
+        assert gated > 0 and found == known
+    else:
+        assert found == known and state == np.random.default_rng(9).bit_generator.state
 
 
 # -- corollary wrappers ----------------------------------------------------------
@@ -245,6 +305,21 @@ def test_seeded_pipeline_fingerprint(n, m, bound, queries, digest):
     assert o.ledger.total_queries == queries
     assert rep.restarts == 0
     assert hashlib.sha256(repr(sorted(rep.edges)).encode()).hexdigest() == digest
+
+
+def test_benchmark_size_pipeline_fingerprint():
+    # The pipeline-gnm benchmark's size, forced on; pinned from the code that
+    # searched adjacency one cross-edge test at a time and drew one sample
+    # size per sampling round. Answering both in bulk must not move a query,
+    # a restart or an edge.
+    g = gnm_graph(192, 1000, np.random.default_rng(5))
+    o = CcOracle(g)
+    rep = adaptive_reconstruct(o, 1000, np.random.default_rng(6), AdaptiveConfig(small_m_cutoff=0))
+    assert rep.success and rep.edges == g.edges
+    assert o.ledger.total_queries == 2259845
+    assert rep.restarts == 0
+    digest = hashlib.sha256(repr(sorted(rep.edges)).encode()).hexdigest()
+    assert digest == "01ed508ea9e9d418264de4d8cdd03800fd9b6ef0423343c31d49317c26530b9a"
 
 
 @pytest.mark.slow

@@ -22,8 +22,9 @@ from ccquery import (
     has_cross_edge,
     has_neighbor,
     reconstruct_forest,
+    star_graph,
 )
-from conftest import formula_cross, formula_probe, random_graph
+from conftest import brute_adjacent_to_set, formula_cross, formula_probe, random_graph
 
 
 def triangle() -> Graph:
@@ -348,6 +349,106 @@ def test_traced_and_untraced_predicates_agree(case):
         else:
             assert total == before  # a refused predicate charges nothing
         before = total
+
+
+@st.composite
+def adjacency_cases(draw):
+    """A small graph, a sequence of adjacency searches with caps, and a budget."""
+    n = draw(st.integers(0, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    sets = st.lists(st.integers(0, n - 1), max_size=n + 2) if n else st.just([])
+    searches = draw(
+        st.lists(st.tuples(sets, st.none() | st.integers(-1, 60)), min_size=1, max_size=4)
+    )
+    budget = draw(st.none() | st.integers(0, 150))
+    return Graph(n, edges), searches, budget
+
+
+class _Stop(Exception):
+    pass
+
+
+def reference_adjacent(g, s, max_queries, budget, total):
+    """The halving search over the cross-edge formula, as ``(outcome, total)``.
+
+    Before each block's test the search halts once ``max_queries`` queries
+    have been charged since it began; a test the budget cannot pay charges
+    nothing and raises.
+    """
+    s_set = set(s)
+    stop_at = None if max_queries is None else total + max_queries
+    out = []
+
+    def search(block):
+        nonlocal total
+        if stop_at is not None and total >= stop_at:
+            raise _Stop
+        answer, asked = _counted_formula(formula_cross, g, s_set, block)
+        if budget is not None and total + asked > budget:
+            raise QueryBudgetExceeded
+        total += asked
+        if not answer:
+            return
+        if len(block) == 1:
+            out.append(block[0])
+            return
+        mid = (len(block) + 1) // 2
+        search(block[:mid])
+        search(block[mid:])
+
+    try:
+        search(list(range(g.n)))
+    except _Stop:
+        return None, total
+    except QueryBudgetExceeded:
+        return "QueryBudgetExceeded", total
+    return out, total
+
+
+@given(adjacency_cases())
+@settings(max_examples=300, deadline=None)
+def test_traced_and_untraced_adjacency_searches_agree(case):
+    g, searches, budget = case
+    runs = {}
+    for record in (False, True):
+        o = CcOracle(g, budget=budget, record_trace=record)
+        runs[record] = [
+            (_outcome(lambda: find_adjacent_to_set(o, s, cap)), o.ledger.total_queries)
+            for s, cap in searches
+        ]
+        for _, members, answer in o.ledger.trace or ():
+            assert answer == cc_count(g, members)
+    assert runs[False] == runs[True]
+    total = 0
+    for (s, cap), step in zip(searches, runs[False]):
+        expected = reference_adjacent(g, s, cap, budget, total)
+        assert step == expected
+        if isinstance(step[0], list):
+            assert step[0] == brute_adjacent_to_set(g, s)
+        total = step[1]
+
+
+def test_adjacency_search_halts_and_refuses_at_the_same_test():
+    # Star centre 0 on 16 vertices: searching from {0} tests the root and
+    # then every halving block (all hold a leaf), 31 tests in all.
+    star = star_graph(16, 15)
+    full = CcOracle(star)
+    assert find_adjacent_to_set(full, [0]) == list(range(1, 16))
+    cost = full.ledger.total_queries
+    for cap in range(cost + 2):
+        expected = reference_adjacent(star, [0], cap, None, 0)
+        for record in (False, True):
+            o = CcOracle(star, record_trace=record)
+            assert (find_adjacent_to_set(o, [0], cap), o.ledger.total_queries) == expected
+    for budget in range(cost + 1):
+        expected = reference_adjacent(star, [0], None, budget, 0)
+        assert expected[0] == ("QueryBudgetExceeded" if budget < cost else list(range(1, 16)))
+        for record in (False, True):
+            o = CcOracle(star, budget=budget, record_trace=record)
+            assert (_outcome(lambda: find_adjacent_to_set(o, [0])), o.ledger.total_queries) == (
+                expected
+            )
 
 
 def test_traced_and_untraced_halving_reconstruction_agree():

@@ -26,6 +26,7 @@ from ccquery import (
     reconstruct_forest,
     star_graph,
 )
+from ccquery import primitives
 from ccquery.primitives import forest_query_cap
 from conftest import (
     all_graphs,
@@ -167,6 +168,44 @@ def test_find_high_degree_trivial_cases(rng):
     o = CcOracle(star_graph(8, 7))
     assert find_high_degree(o, 7, 10, 0.1, rng) == []  # threshold >= n
     assert o.ledger.total_queries == 0
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_find_high_degree_halted_rounds_cast_no_vote(monkeypatch, step):
+    # Star centre 0 on 32 vertices with m=10, t=10: a round may spend
+    # step * 20 * 5 queries. A sample holding the centre makes the search test
+    # every halving block, past 100 queries; a sample of leaves alone only
+    # tests the blocks around vertex 0 and stays under 100.
+    monkeypatch.setattr(primitives, "ADJACENCY_STEP_QUERIES", step)
+    star = star_graph(32, 31)
+    search = primitives.find_adjacent_to_set
+    runs = {}
+    for record in (False, True):
+        searches = []
+
+        def recording(oracle, s, max_queries=None):
+            result = search(oracle, s, max_queries)
+            searches.append((0 in s, result))
+            return result
+
+        monkeypatch.setattr(primitives, "find_adjacent_to_set", recording)
+        o = CcOracle(star, record_trace=record)
+        out = find_high_degree(o, 10, 10, 0.5, np.random.default_rng(2))
+        runs[record] = (out, o.ledger.total_queries, searches)
+    assert runs[False] == runs[True]
+    out, total, searches = runs[False]
+    halted = [result is None for _, result in searches]
+    if step == 0:
+        assert all(halted) and total == 0 and out == []
+    else:
+        assert halted == [centre for centre, _ in searches]
+        assert any(halted) and not all(halted)
+        assert out == [0]
+    votes = np.zeros(star.n, dtype=np.int64)
+    for _, result in searches:
+        if result is not None:
+            votes[result] += 1
+    assert out == np.flatnonzero(votes * 2 >= high_degree_iterations(10, 0.5)).tolist()
 
 
 @pytest.mark.slow
